@@ -25,15 +25,17 @@ using qta::JsonWriter;
 /// comparable. v5: BENCH_serve.json cells gained a fifth phase
 /// (`checkpoint`, park serialization time, observed once per eviction)
 /// plus park_bytes/restore_bytes totals split by snapshot format and
-/// kind, and the report carries a park_formats section comparing v2
-/// full-text parking against v3 full+delta parking — v4 readers that
+/// kind, and the report carries a section comparing v2 full-text
+/// parking against v3 full+delta parking — v4 readers that
 /// assumed exactly four phases must not index past `reply`. v6: a new
 /// BENCH_shard.json artifact (the sharded-router sweep: per-cell
 /// touched-session counts, migration/checkpoint totals, per-shard
 /// session/request splits, and p50/p95/p99 proxy-hop latency per
 /// request type); existing artifacts are unchanged, but readers keyed
 /// on "one BENCH file per schema bump" must now handle the new file.
-inline constexpr int kBenchSchemaVersion = 6;
+/// v7: BENCH_serve.json lost v5's parking-comparison section (v2
+/// parking is gone, so there is nothing left to compare against).
+inline constexpr int kBenchSchemaVersion = 7;
 
 /// Emits the shared metadata fields into the CURRENT object scope:
 ///   "schema_version": 3,

@@ -17,11 +17,6 @@
 // server's qtserve_phase_us histograms — log2-bucket upper bounds, so
 // they are coarse but comparable across runs — and the park/restore
 // byte totals split by snapshot format (v2/v3) and kind (full/delta).
-// A final park_formats section runs the same forced-eviction churn
-// under v2 full-text parking and v3 full+delta parking and compares
-// the bytes written per format; the two runs' final snapshots must be
-// byte-identical (the park format is bit-invisible), and that equality
-// IS exit-code gated.
 #include <chrono>
 #include <iostream>
 #include <sstream>
@@ -81,8 +76,10 @@ struct PhaseStats {
   std::uint64_t p99 = 0;
 };
 
-// Park/restore byte totals, one slot per registered counter series
-// (qtserve_park_bytes_total / qtserve_restore_bytes_total).
+// Park/restore byte totals by {format, kind} (qtserve_park_bytes_total
+// / qtserve_restore_bytes_total). Parks only write v3, so a park
+// total's v2_full slot stays 0; restores count v2 bases of adopted
+// images there.
 struct FormatBytes {
   std::uint64_t v2_full = 0;
   std::uint64_t v3_full = 0;
@@ -214,105 +211,6 @@ bool run_cell(std::size_t sessions, unsigned workers, Cell* out) {
   return true;
 }
 
-// --- park-format comparison -------------------------------------------
-//
-// Two sessions ping-pong through one hot slot, so every Step evicts the
-// other session: a worst-case churn workload where the park format's
-// byte cost dominates. Run once per format over the identical request
-// sequence; report the park/restore byte totals and gate on the final
-// snapshots of the two runs being byte-identical.
-
-constexpr std::size_t kChurnRounds = 12;
-constexpr std::uint64_t kChurnSteps = 128;
-
-// A 32x32 world (1024 states) makes the comparison meaningful: each
-// 128-step epoch dirties a small fraction of the rows, so the dirty-row
-// delta's advantage over any full image (text or binary) is visible. On
-// a world small enough that every epoch touches most rows, deltas
-// degenerate to full images plus per-row framing and the comparison
-// would only measure integer-formatting noise.
-serve::SessionSpec churn_spec(std::size_t index) {
-  serve::SessionSpec spec = spec_for(index);
-  spec.width = 32;
-  spec.height = 32;
-  return spec;
-}
-
-struct ParkFormatResult {
-  FormatBytes park_bytes;
-  FormatBytes restore_bytes;
-  std::uint64_t evictions = 0;
-  std::uint64_t restores = 0;
-  std::string snapshots[2];
-};
-
-bool run_park_churn(serve::ParkFormat format, ParkFormatResult* out) {
-  serve::ServerOptions options;
-  options.max_hot = 1;
-  options.workers = 2;
-  options.max_queue = 4;
-  options.park_format = format;
-  serve::LoopbackTransport transport(options);
-
-  serve::SessionId ids[2];
-  for (std::size_t i = 0; i < 2; ++i) {
-    serve::Request req;
-    req.type = serve::RequestType::kCreateSession;
-    req.spec = churn_spec(i);
-    const serve::Response resp = transport.call(req);
-    if (resp.status != serve::Status::kOk) {
-      std::cerr << "park churn create failed: " << resp.error << "\n";
-      return false;
-    }
-    ids[i] = resp.session;
-  }
-
-  for (std::size_t round = 0; round < kChurnRounds; ++round) {
-    for (std::size_t i = 0; i < 2; ++i) {
-      serve::Request req;
-      req.type = serve::RequestType::kStep;
-      req.session = ids[i];
-      req.steps = kChurnSteps;
-      const serve::Response resp = transport.call(req);
-      if (resp.status != serve::Status::kOk) {
-        std::cerr << "park churn step failed: " << resp.error << "\n";
-        return false;
-      }
-    }
-  }
-
-  for (std::size_t i = 0; i < 2; ++i) {
-    serve::Request req;
-    req.type = serve::RequestType::kSnapshot;
-    req.session = ids[i];
-    const serve::Response resp = transport.call(req);
-    if (resp.status != serve::Status::kOk) {
-      std::cerr << "park churn snapshot failed: " << resp.error << "\n";
-      return false;
-    }
-    out->snapshots[i] = resp.snapshot;
-  }
-
-  telemetry::MetricsRegistry& metrics = transport.server().metrics();
-  out->park_bytes = read_format_bytes(metrics, "qtserve_park_bytes_total");
-  out->restore_bytes =
-      read_format_bytes(metrics, "qtserve_restore_bytes_total");
-  out->evictions = transport.server().sessions().lru_evictions();
-  out->restores = transport.server().sessions().restores();
-  return true;
-}
-
-void write_park_format_result(bench::JsonWriter& json, const char* key,
-                              const ParkFormatResult& result) {
-  json.key(key);
-  json.begin_object();
-  write_format_bytes(json, "park_bytes", result.park_bytes);
-  write_format_bytes(json, "restore_bytes", result.restore_bytes);
-  json.field("lru_evictions", result.evictions);
-  json.field("restores", result.restores);
-  json.end_object();
-}
-
 bool check_overload_semantics() {
   serve::ServerOptions options;
   options.max_hot = 4;
@@ -395,25 +293,6 @@ int main() {
   if (!check_overload_semantics()) return 1;
   std::cout << "overload gate: 16 posts vs bound 8 -> 8 ok + 8 refused\n";
 
-  // Park-format comparison (report-only bytes; bit-exactness gated).
-  ParkFormatResult v2_result, v3_result;
-  if (!run_park_churn(serve::ParkFormat::kV2Text, &v2_result)) return 1;
-  if (!run_park_churn(serve::ParkFormat::kV3Binary, &v3_result)) return 1;
-  for (std::size_t i = 0; i < 2; ++i) {
-    if (v2_result.snapshots[i] != v3_result.snapshots[i]) {
-      std::cerr << "park format gate: session " << i
-                << " snapshot differs between v2 and v3 parking\n";
-      return 1;
-    }
-  }
-  std::cout << "park formats (2 sessions x 1 hot slot, " << kChurnRounds
-            << " rounds x " << kChurnSteps << " steps, bit-exact):\n"
-            << "  v2 full-text parks: " << v2_result.park_bytes.v2_full
-            << " bytes over " << v2_result.evictions << " evictions\n"
-            << "  v3 full+delta parks: " << v3_result.park_bytes.v3_full
-            << " full + " << v3_result.park_bytes.v3_delta
-            << " delta bytes over " << v3_result.evictions << " evictions\n";
-
   bench::JsonWriter json;
   json.begin_object();
   bench::write_bench_meta(json);
@@ -454,19 +333,6 @@ int main() {
     json.end_object();
   }
   json.end_array();
-  json.key("park_formats");
-  json.begin_object();
-  json.key("workload");
-  json.begin_object();
-  json.field("sessions", std::uint64_t{2});
-  json.field("max_hot", std::uint64_t{1});
-  json.field("rounds", static_cast<std::uint64_t>(kChurnRounds));
-  json.field("steps_per_round", kChurnSteps);
-  json.end_object();
-  write_park_format_result(json, "v2", v2_result);
-  write_park_format_result(json, "v3", v3_result);
-  json.field("bit_exact_across_formats", true);
-  json.end_object();
   json.end_object();
   if (!json.write_file("BENCH_serve.json")) {
     std::cerr << "failed to write BENCH_serve.json\n";

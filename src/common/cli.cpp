@@ -44,15 +44,21 @@ std::int64_t CliFlags::get_int(const std::string& name,
                                std::int64_t def) const {
   const std::string* v = find(name);
   if (!v) return def;
-  QTA_CHECK_MSG(!v->empty(), "integer flag given without a value");
-  return std::strtoll(v->c_str(), nullptr, 10);
+  char* end = nullptr;
+  const std::int64_t value = std::strtoll(v->c_str(), &end, 10);
+  QTA_CHECK_MSG(!v->empty() && *end == '\0',
+                "integer flag needs a whole decimal number as its value");
+  return value;
 }
 
 double CliFlags::get_double(const std::string& name, double def) const {
   const std::string* v = find(name);
   if (!v) return def;
-  QTA_CHECK_MSG(!v->empty(), "double flag given without a value");
-  return std::strtod(v->c_str(), nullptr);
+  char* end = nullptr;
+  const double value = std::strtod(v->c_str(), &end);
+  QTA_CHECK_MSG(!v->empty() && *end == '\0',
+                "double flag needs a number as its value");
+  return value;
 }
 
 bool CliFlags::get_bool(const std::string& name, bool def) const {

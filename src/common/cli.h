@@ -17,7 +17,8 @@ class CliFlags {
   CliFlags(int argc, const char* const* argv);
 
   /// Typed getters with defaults. A present-but-valueless flag reads as
-  /// "true" for get_bool and is an error for the others.
+  /// "true" for get_bool and is an error for the others, as is a numeric
+  /// value with trailing characters (`--port=80x`, `--rate=0.5s`).
   std::string get_string(const std::string& name,
                          const std::string& def) const;
   std::int64_t get_int(const std::string& name, std::int64_t def) const;

@@ -88,16 +88,11 @@ void QtAccelDevice::advance(std::uint64_t cycles) {
   }
 }
 
-void QtAccelDevice::save_snapshot(std::ostream& os,
-                                  runtime::SnapshotFormat format) {
+void QtAccelDevice::save_snapshot(std::ostream& os) {
   QTA_CHECK_MSG(engine_ != nullptr,
                 "snapshot DMA with no engine started");
   quiesce();
-  if (format == runtime::SnapshotFormat::kV3Binary) {
-    runtime::save_snapshot_v3(*engine_, os);
-  } else {
-    runtime::save_snapshot(*engine_, os);
-  }
+  runtime::save_snapshot(*engine_, os);
 }
 
 void QtAccelDevice::load_snapshot(std::istream& is) {

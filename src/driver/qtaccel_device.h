@@ -32,7 +32,6 @@
 #include "driver/register_map.h"
 #include "env/environment.h"
 #include "runtime/engine.h"
-#include "runtime/snapshot.h"  // SnapshotFormat
 
 namespace qta::driver {
 
@@ -70,13 +69,10 @@ class QtAccelDevice {
 
   /// Snapshot path (models the DMA window). save_snapshot quiesces the
   /// machine (drains in-flight work without issuing new samples) and
-  /// writes a QTACCEL-SNAPSHOT image in `format` (v2 text by default,
-  /// v3 binary for compact DMA captures; runtime/snapshot.h); aborts if
-  /// no engine has been started. BUSY/DONE are unchanged — a quiesced
-  /// engine resumes on the next advance.
-  void save_snapshot(std::ostream& os,
-                     runtime::SnapshotFormat format =
-                         runtime::SnapshotFormat::kV2Text);
+  /// writes a QTACCEL-SNAPSHOT v2 text image (runtime/snapshot.h);
+  /// aborts if no engine has been started. BUSY/DONE are unchanged — a
+  /// quiesced engine resumes on the next advance.
+  void save_snapshot(std::ostream& os);
   /// START-with-state: builds an engine from the current CSR config
   /// (validity-checked exactly like START) and restores the snapshot
   /// into it (v2 or v3, sniffed from the stream). BUSY/DONE reflect the

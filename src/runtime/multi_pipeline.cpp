@@ -123,22 +123,15 @@ void SharedTablePipelines::run_samples_total(std::uint64_t total) {
   while (total_samples() < total) tick_all(true);
 }
 
-void SharedTablePipelines::save_checkpoint(std::ostream& os,
-                                           SnapshotFormat format) {
+void SharedTablePipelines::save_checkpoint(std::ostream& os) {
   drain();  // the lockstep barrier: every pipe's state is now committed
   os << kPoolMagic << ' ' << kPoolVersion << '\n'
      << "pipes " << pipes_.size() << '\n'
      << "cycles " << cycles_ << '\n';
   // Each pipe snapshots the shared tables through its own pointers; the
-  // duplication buys per-pipe files that are individually complete. v3
-  // images are length-aware (end sentinel + fixed-width fields), so
-  // they embed in the pool stream exactly like the text form.
+  // duplication buys per-pipe files that are individually complete.
   for (const auto& p : pipes_) {
-    if (format == SnapshotFormat::kV3Binary) {
-      write_snapshot_v3(os, p->config(), env_, p->save_state());
-    } else {
-      write_snapshot(os, p->config(), env_, p->save_state());
-    }
+    write_snapshot(os, p->config(), env_, p->save_state());
   }
 }
 
@@ -283,17 +276,10 @@ void IndependentPipelines::run_samples_each(std::uint64_t samples,
   });
 }
 
-void IndependentPipelines::save_checkpoint(std::ostream& os,
-                                           SnapshotFormat format) const {
+void IndependentPipelines::save_checkpoint(std::ostream& os) const {
   os << kFleetMagic << ' ' << kPoolVersion << '\n'
      << "engines " << engines_.size() << '\n';
-  for (const auto& e : engines_) {
-    if (format == SnapshotFormat::kV3Binary) {
-      save_snapshot_v3(*e, os);
-    } else {
-      save_snapshot(*e, os);
-    }
-  }
+  for (const auto& e : engines_) save_snapshot(*e, os);
 }
 
 void IndependentPipelines::load_checkpoint(std::istream& is,

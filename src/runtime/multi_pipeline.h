@@ -64,15 +64,12 @@ class SharedTablePipelines {
   void drain();
 
   /// Pool-wide atomic checkpoint: drains, then writes the pool header
-  /// and one machine snapshot per pipe (shared tables appear in each —
-  /// restore is idempotent). Non-const because of the drain. `format`
-  /// picks the per-pipe image encoding; v2 text stays the default for
-  /// script/diff friendliness, v3 binary shrinks bulk checkpoints.
-  void save_checkpoint(std::ostream& os,
-                       SnapshotFormat format = SnapshotFormat::kV2Text);
-  /// Restores a checkpoint written by save_checkpoint (either format —
-  /// the per-pipe version token is sniffed, so v2 and v3 images can
-  /// even mix within one stream); aborts with a diagnostic on a foreign
+  /// and one v2 text machine snapshot per pipe (shared tables appear in
+  /// each — restore is idempotent). Non-const because of the drain.
+  void save_checkpoint(std::ostream& os);
+  /// Restores a pool checkpoint (the per-pipe version token is sniffed,
+  /// so v2 and v3 images may even mix within one stream); aborts with a
+  /// diagnostic on a foreign
   /// file or a pool-shape mismatch. The diagnostic names `source` plus
   /// the offending pipe index, so a bad snapshot inside a multi-pipe
   /// stream is attributable.
@@ -162,13 +159,12 @@ class IndependentPipelines {
   void run_samples_each(std::uint64_t samples, unsigned max_threads = 0,
                         Schedule schedule = Schedule::kWorkStealing);
 
-  /// Fleet checkpoint: one machine snapshot per engine, in `format`
-  /// (v2 text by default; loads sniff per-engine). Valid at any point
-  /// between run_samples_each calls (the parallel_for join is the
-  /// barrier); restoring resumes every engine bit-exactly. Load
-  /// diagnostics name `source` plus the offending engine's pipe index.
-  void save_checkpoint(std::ostream& os,
-                       SnapshotFormat format = SnapshotFormat::kV2Text) const;
+  /// Fleet checkpoint: one v2 text machine snapshot per engine (loads
+  /// sniff the version per engine). Valid at any point between
+  /// run_samples_each calls (the parallel_for join is the barrier);
+  /// restoring resumes every engine bit-exactly. Load diagnostics name
+  /// `source` plus the offending engine's pipe index.
+  void save_checkpoint(std::ostream& os) const;
   void load_checkpoint(std::istream& is, const SnapshotSource& source = {});
   /// File helpers; abort with a diagnostic (naming the path) when the
   /// file cannot be opened/written or fails to parse.

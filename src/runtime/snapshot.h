@@ -41,9 +41,11 @@
 //
 // The v1 QTACCEL-QTABLE format stays loadable: load_snapshot sniffs the
 // magic and routes v1 files through the warm-start path (preset_q +
-// rebuild_qmax), exactly as the old table_io loader did. v2 stays both
-// readable AND writable — it is the interchange/debug format; v3 is
-// the bulk park/checkpoint format.
+// rebuild_qmax), exactly as the old table_io loader did. Each writer
+// has one fixed format: v2 text is the interchange format (snapshot
+// files, serve Snapshot replies, pool/fleet/device checkpoints); v3
+// full images and deltas are written only by serve parking, and ship
+// as-is on migration. Every reader accepts v1, v2 and v3.
 #pragma once
 
 #include <iosfwd>
@@ -59,11 +61,6 @@ namespace qta::runtime {
 inline constexpr const char* kSnapshotMagic = "QTACCEL-SNAPSHOT";
 inline constexpr const char* kSnapshotVersion = "v2";
 inline constexpr const char* kSnapshotVersionV3 = "v3";
-
-/// Full-image format selector for writers that can emit either version
-/// (multi_pipeline checkpoints, serve parking). Readers never need it —
-/// read_snapshot/load_snapshot sniff the version token per stream.
-enum class SnapshotFormat { kV2Text, kV3Binary };
 
 /// Where a snapshot/checkpoint stream came from, for diagnostics. Load
 /// failures keep their original leading message text (existing death

@@ -45,10 +45,7 @@ Server::Server(const ServerOptions& options)
                   ? std::make_unique<telemetry::FlightRecorder>(
                         options.flight_recorder_capacity)
                   : nullptr),
-      sessions_(options.max_hot, &metrics_, flight_.get(),
-                SessionManagerOptions{options.async_park, options.park_format,
-                                      options.max_delta_chain,
-                                      options.migrate_format}),
+      sessions_(options.max_hot, &metrics_, flight_.get()),
       queue_(options.max_queue),
       pool_(options.workers == 0 ? 1 : options.workers),
       epoch_(std::chrono::steady_clock::now()) {
@@ -340,11 +337,11 @@ bool Server::pump() {
 
   batch_size_->observe(batch.size());
   // Evictions above (explicit Evict requests and acquire-forced LRU
-  // victims) may have staged PendingParks instead of serializing
-  // inline: those serialize on the pool as extra work items alongside
-  // the batch, then commit back on this thread in the same pump —
-  // checkpoint rendering overlaps engine work and never outlives the
-  // pump (victim engines stay alive, off the LRU, until commit).
+  // victims) staged PendingParks: those serialize on the pool as extra
+  // work items alongside the batch, then commit back on this thread in
+  // the same pump — checkpoint rendering overlaps engine work and never
+  // outlives the pump (victim engines stay alive, off the LRU, until
+  // commit).
   std::vector<SessionManager::PendingPark>& parks =
       sessions_.pending_parks();
   if (!batch.empty() || !parks.empty()) {
@@ -361,8 +358,7 @@ bool Server::pump() {
     units.reserve(batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
       bool grouped = false;
-      if (options_.coalesce_lanes &&
-          batch[i].qr.request.type == RequestType::kStep &&
+      if (batch[i].qr.request.type == RequestType::kStep &&
           runtime::is_lane_backend(*batch[i].engine)) {
         for (Unit& u : units) {
           const Item& head = batch[u.members.front()];

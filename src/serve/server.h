@@ -14,7 +14,7 @@
 //     requests for lane-backed sessions with compatible configs are
 //     coalesced into one LaneEngine group per batch (one pool item
 //     advancing all of them in the lane round loop; see
-//     runtime/lane_coalescer.h and ServerOptions::coalesce_lanes);
+//     runtime/lane_coalescer.h);
 //     everything else runs one worker item per session. Workers only
 //     touch their own unit's engines and response slots; every
 //     queue/LRU/metrics-map mutation stays on the control thread.
@@ -81,30 +81,6 @@ struct ServerOptions {
   /// eviction / overload events dumpable via Introspect or the HTTP
   /// /flightrecorder route at a few stores per request.
   std::size_t flight_recorder_capacity = 256;
-  /// Coalesce compatible lane-backed Step requests within one pump
-  /// batch into a single LaneEngine group (runtime/lane_coalescer.h):
-  /// the batch advances in one lane-parallel round loop instead of one
-  /// engine per worker. Per-session results are bit-identical either
-  /// way; this only changes how the host executes the batch.
-  bool coalesce_lanes = true;
-  /// Defer park serialization to the worker pool: an eviction stages a
-  /// PendingPark which pump() serializes alongside the batch's engine
-  /// work and commits on the control thread in the same pump, so the
-  /// control thread never blocks rendering checkpoint bytes
-  /// (serve/session_manager.h has the staging contract). false =
-  /// serialize inline at eviction, the historical behavior.
-  bool async_park = true;
-  /// Cold-checkpoint format for full park images (deltas are always v3
-  /// binary). v2 text keeps cold blobs human-readable at a size cost.
-  ParkFormat park_format = ParkFormat::kV3Binary;
-  /// Cold-chain compaction bound: force a full checkpoint once a chain
-  /// holds this many deltas. 0 = full images only.
-  unsigned max_delta_chain = 4;
-  /// Base format for MigrateOut images (the --migrate-format escape
-  /// hatch). The v3 default ships a cold session's chain verbatim —
-  /// deltas and all, nothing inflates to v2 text; v2 materializes
-  /// interchange text (serve/session_manager.h).
-  ParkFormat migrate_format = ParkFormat::kV3Binary;
 };
 
 using Ticket = std::uint64_t;

@@ -12,12 +12,8 @@ namespace qta::serve {
 
 SessionManager::SessionManager(unsigned max_hot,
                                telemetry::MetricsRegistry* metrics,
-                               telemetry::FlightRecorder* flight,
-                               const SessionManagerOptions& options)
-    : max_hot_(max_hot),
-      metrics_(metrics),
-      flight_(flight),
-      options_(options) {
+                               telemetry::FlightRecorder* flight)
+    : max_hot_(max_hot), metrics_(metrics), flight_(flight) {
   QTA_CHECK_MSG(max_hot_ >= 1, "SessionManager needs at least one hot slot");
   if (metrics_ != nullptr) {
     lru_eviction_counter_ = &metrics_->counter(
@@ -40,15 +36,13 @@ SessionManager::SessionManager(unsigned max_hot,
         "this worker (out) vs adopted onto it (in)");
     migrate_in_counter_ = &metrics_->counter(
         "qtserve_migrations_total", {{"direction", "in"}});
-    // Deltas are always v3 binary, so three {format, kind} series per
-    // direction cover the space; registered eagerly so the series exist
-    // (at zero) before any churn.
-    park_bytes_v2_full_ = &metrics_->counter(
-        "qtserve_park_bytes_total", {{"format", "v2"}, {"kind", "full"}},
+    // Registered eagerly so the series exist (at zero) before any
+    // churn. Parks only ever write v3; restores also see the v2 bases
+    // that adopted images carry.
+    park_bytes_v3_full_ = &metrics_->counter(
+        "qtserve_park_bytes_total", {{"format", "v3"}, {"kind", "full"}},
         "bytes serialized parking sessions cold, by snapshot format and "
         "checkpoint kind (full image vs dirty-row delta)");
-    park_bytes_v3_full_ = &metrics_->counter(
-        "qtserve_park_bytes_total", {{"format", "v3"}, {"kind", "full"}});
     park_bytes_v3_delta_ = &metrics_->counter(
         "qtserve_park_bytes_total", {{"format", "v3"}, {"kind", "delta"}});
     restore_bytes_v2_full_ = &metrics_->counter(
@@ -169,10 +163,8 @@ std::string SessionManager::snapshot_text(SessionId id) {
 }
 
 bool SessionManager::should_park_delta(const Session& s) const {
-  if (options_.park_format != ParkFormat::kV3Binary) return false;
-  if (options_.max_delta_chain == 0) return false;
   if (s.cold.empty()) return false;  // nothing to delta against
-  if (s.cold.deltas.size() >= options_.max_delta_chain) {
+  if (s.cold.deltas.size() >= kMaxDeltaChain) {
     return false;  // compaction: rebase the chain on a full image
   }
   const runtime::Engine& e = *s.engine;
@@ -193,24 +185,24 @@ bool SessionManager::should_park_delta(const Session& s) const {
   return delta_bytes < full_bytes;
 }
 
-void SessionManager::make_cold(SessionId id, Session& s,
-                               EvictReason reason) {
+SessionManager::PendingPark SessionManager::stage_park(SessionId id,
+                                                       Session& s,
+                                                       EvictReason reason) {
   PendingPark park;
   park.id = id;
   park.engine = s.engine.get();
   park.delta = should_park_delta(s);
-  park.format = park.delta ? ParkFormat::kV3Binary : options_.park_format;
   park.reason = static_cast<int>(reason);
-  // Leave the LRU now either way: a staged session must not be picked
-  // as a victim again while its park is in flight.
+  // Leave the LRU now: a staged session must not be picked as a victim
+  // again while its park is in flight.
   lru_.erase(s.lru_pos);
-  if (options_.async_park) {
-    s.park_pending = true;
-    pending_parks_.push_back(std::move(park));
-    return;
-  }
-  serialize_park(park);
-  commit_park(park);
+  return park;
+}
+
+void SessionManager::make_cold(SessionId id, Session& s,
+                               EvictReason reason) {
+  pending_parks_.push_back(stage_park(id, s, reason));
+  s.park_pending = true;
 }
 
 void SessionManager::serialize_park(PendingPark& park) {
@@ -220,10 +212,8 @@ void SessionManager::serialize_park(PendingPark& park) {
   if (park.delta) {
     runtime::write_snapshot_delta(os, e.config(), e.environment(),
                                   e.save_state());
-  } else if (park.format == ParkFormat::kV3Binary) {
-    runtime::save_snapshot_v3(e, os);
   } else {
-    runtime::save_snapshot(e, os);
+    runtime::save_snapshot_v3(e, os);
   }
   park.blob = std::move(os).str();
   park.serialize_us = static_cast<std::uint64_t>(
@@ -242,9 +232,8 @@ void SessionManager::commit_park(PendingPark& park) {
   } else {
     s.cold.clear();
     s.cold.base = std::move(park.blob);
-    s.cold.base_is_v3 = park.format == ParkFormat::kV3Binary;
-    bytes_counter = s.cold.base_is_v3 ? park_bytes_v3_full_
-                                      : park_bytes_v2_full_;
+    s.cold.base_is_v3 = true;
+    bytes_counter = park_bytes_v3_full_;
   }
   // Deliberately no sink flush: a flush would close the in-progress
   // stall burst and trace spans, making an evicted session's telemetry
@@ -317,30 +306,21 @@ void SessionManager::cancel_pending_park(SessionId id) {
 }
 
 void SessionManager::restore_chain(Session& s) {
-  if (!s.cold.base_is_v3 && s.cold.deltas.empty()) {
-    // Pure-v2 cold: the exact historical restore path.
-    std::istringstream is(s.cold.base);
-    runtime::load_snapshot(*s.engine, is);
-    if (restore_bytes_v2_full_ != nullptr) {
-      restore_bytes_v2_full_->inc(s.cold.base.size());
+  // read_snapshot sniffs the base's version, so a v2 base (an adopted
+  // router checkpoint) restores through the same path as a v3 one.
+  std::istringstream is(s.cold.base);
+  qtaccel::MachineState ms = runtime::read_snapshot(is, s.config, *s.env);
+  telemetry::Counter* base_counter =
+      s.cold.base_is_v3 ? restore_bytes_v3_full_ : restore_bytes_v2_full_;
+  if (base_counter != nullptr) base_counter->inc(s.cold.base.size());
+  for (const std::string& delta : s.cold.deltas) {
+    std::istringstream ds(delta);
+    runtime::apply_snapshot_delta(ds, s.config, *s.env, ms);
+    if (restore_bytes_v3_delta_ != nullptr) {
+      restore_bytes_v3_delta_->inc(delta.size());
     }
-  } else {
-    std::istringstream is(s.cold.base);
-    qtaccel::MachineState ms =
-        runtime::read_snapshot(is, s.config, *s.env);
-    telemetry::Counter* base_counter = s.cold.base_is_v3
-                                           ? restore_bytes_v3_full_
-                                           : restore_bytes_v2_full_;
-    if (base_counter != nullptr) base_counter->inc(s.cold.base.size());
-    for (const std::string& delta : s.cold.deltas) {
-      std::istringstream ds(delta);
-      runtime::apply_snapshot_delta(ds, s.config, *s.env, ms);
-      if (restore_bytes_v3_delta_ != nullptr) {
-        restore_bytes_v3_delta_->inc(delta.size());
-      }
-    }
-    s.engine->load_state(ms);
   }
+  s.engine->load_state(ms);
   // Open a fresh dirty epoch at the restore point: the next delta must
   // cover exactly the rows touched since this chain tip.
   s.engine->reset_dirty_rows();
@@ -404,32 +384,17 @@ bool SessionManager::export_session(SessionId id, MigrationImage* image) {
       }
     }
   } else if (s.engine != nullptr) {
-    // Park inline under kMigrate even when async_park is on: the image
-    // must carry the engine's current state when this returns.
-    PendingPark park;
-    park.id = id;
-    park.engine = s.engine.get();
-    park.delta = should_park_delta(s);
-    park.format = park.delta ? ParkFormat::kV3Binary : options_.park_format;
-    park.reason = static_cast<int>(EvictReason::kMigrate);
-    lru_.erase(s.lru_pos);
+    // Park inline under kMigrate, never staged: the image must carry
+    // the engine's current state when this returns.
+    PendingPark park = stage_park(id, s, EvictReason::kMigrate);
     serialize_park(park);
     commit_park(park);
   }
+  // The chain moves verbatim, deltas and all.
   image->spec = s.spec;
-  if (options_.migrate_format == ParkFormat::kV2Text && !s.cold.empty() &&
-      (s.cold.base_is_v3 || !s.cold.deltas.empty())) {
-    // Escape hatch: collapse the chain into interchange text (builds a
-    // MachineState but still no engine).
-    image->base = chain_as_v2_text(s);
-    image->base_is_v3 = false;
-    image->deltas.clear();
-  } else {
-    // The default: the chain moves verbatim, deltas and all.
-    image->base = std::move(s.cold.base);
-    image->deltas = std::move(s.cold.deltas);
-    image->base_is_v3 = s.cold.base_is_v3;
-  }
+  image->base = std::move(s.cold.base);
+  image->deltas = std::move(s.cold.deltas);
+  image->base_is_v3 = s.cold.base_is_v3;
   const std::uint64_t image_bytes = [&] {
     std::uint64_t n = image->base.size();
     for (const std::string& d : image->deltas) n += d.size();

@@ -6,15 +6,16 @@
 // places:
 //   hot  — a live runtime::Engine on one of the manager's `max_hot`
 //          resident slots;
-//   cold — a checkpoint chain: one full base image (QTACCEL-SNAPSHOT v2
-//          text or v3 binary, per SessionManagerOptions::park_format)
-//          plus zero or more v3 dirty-row deltas, each serializing only
-//          the rows touched since the previous checkpoint
-//          (runtime/snapshot.h). An empty chain means the session never
-//          ran: restoring it is just a fresh engine, which is
-//          bit-identical by construction. Chains are compacted back to
-//          a single full image once they reach max_delta_chain deltas
-//          (or whenever a delta would not be smaller than a full
+//   cold — a checkpoint chain: one full base image plus zero or more
+//          v3 dirty-row deltas, each serializing only the rows touched
+//          since the previous checkpoint (runtime/snapshot.h). Parks
+//          always write v3; a base arrives as v2 text only when an
+//          adopted image carried one (the router's failover
+//          checkpoints are Snapshot replies). An empty chain means the
+//          session never ran: restoring it is just a fresh engine,
+//          which is bit-identical by construction. Chains are compacted
+//          back to a single full image once they reach kMaxDeltaChain
+//          deltas (or whenever a delta would not be smaller than a full
 //          image).
 //
 // acquire() is the only path that makes a session hot; when all slots
@@ -26,14 +27,13 @@
 // the engine had stayed resident (proven by tests/serve_test.cpp and
 // serve_churn_test.cpp).
 //
-// Parking can be deferred (SessionManagerOptions::async_park): instead
-// of serializing inline, make_cold stages a PendingPark — the engine
-// stays alive on the session, off the LRU, read-only — and the caller
-// runs serialize_park() on worker threads before commit_parks() back on
-// the control thread stores the blob and tears the engine down. The
-// server overlaps park serialization with batch execution this way;
-// direct users can ignore the queue entirely (flush_parks() is the
-// synchronous fallback, and the sync default never stages anything).
+// Parking is staged: make_cold never serializes inline. It stages a
+// PendingPark — the engine stays alive on the session, off the LRU,
+// read-only — and the caller runs serialize_park() on worker threads
+// before commit_parks() back on the control thread stores the blob and
+// tears the engine down. The server overlaps park serialization with
+// batch execution this way; direct users call flush_parks() to
+// serialize and commit everything staged.
 //
 // Per-session telemetry: when spec.telemetry is set, the session owns a
 // PipelineTelemetry sink (labelled with the session id on the `pipe`
@@ -69,43 +69,22 @@
 
 namespace qta::serve {
 
-/// Cold-storage format for full park checkpoints. v2 text stays fully
-/// writable for back-compat and cross-format verification; deltas are
-/// always v3 binary (there is no text delta format).
-enum class ParkFormat { kV2Text, kV3Binary };
-
-struct SessionManagerOptions {
-  /// Defer evict-time serialization to worker threads (see the parking
-  /// notes atop this file). false = serialize inline on the calling
-  /// thread, the drop-in historical behavior.
-  bool async_park = false;
-  /// Format for newly written full checkpoints.
-  ParkFormat park_format = ParkFormat::kV3Binary;
-  /// Compaction bound: force a full checkpoint once a cold chain holds
-  /// this many deltas, so restore cost stays O(base + max_delta_chain).
-  /// 0 disables deltas entirely (every park is a full image).
-  unsigned max_delta_chain = 4;
-  /// Base format for export_session images. kV3Binary (the default)
-  /// ships the cold chain verbatim — a v3 base plus deltas moves as-is,
-  /// never inflated; kV2Text materializes the chain into interchange
-  /// text first (the --migrate-format=v2 escape hatch, mirroring
-  /// park_format).
-  ParkFormat migrate_format = ParkFormat::kV3Binary;
-};
-
 class SessionManager {
  public:
-  /// A staged eviction under async parking: the session's engine stays
-  /// alive (read-only, off the LRU) until the blob is serialized and
-  /// committed. The delta/full and format decision is made at enqueue
-  /// time on the control thread (from dirty_row_count() byte
-  /// estimates); serialize_park() only renders bytes, so distinct
-  /// PendingParks are safe to serialize concurrently.
+  /// Compaction bound: a park writes a full image once the cold chain
+  /// holds this many deltas, so restore cost stays O(base + 4 deltas).
+  static constexpr std::size_t kMaxDeltaChain = 4;
+
+  /// A staged eviction: the session's engine stays alive (read-only,
+  /// off the LRU) until the blob is serialized and committed. The
+  /// delta/full decision is made at enqueue time on the control thread
+  /// (from dirty_row_count() byte estimates); serialize_park() only
+  /// renders v3 bytes, so distinct PendingParks are safe to serialize
+  /// concurrently.
   struct PendingPark {
     SessionId id = 0;
     runtime::Engine* engine = nullptr;  // owned by the session, not us
     bool delta = false;
-    ParkFormat format = ParkFormat::kV3Binary;
     std::string blob;             // filled by serialize_park
     std::uint64_t serialize_us = 0;  // filled by serialize_park
     int reason = 0;               // EvictReason, opaque to workers
@@ -116,8 +95,7 @@ class SessionManager {
   /// (no eviction/restore flight-recorder events); both must outlive
   /// the manager.
   SessionManager(unsigned max_hot, telemetry::MetricsRegistry* metrics,
-                 telemetry::FlightRecorder* flight = nullptr,
-                 const SessionManagerOptions& options = {});
+                 telemetry::FlightRecorder* flight = nullptr);
   ~SessionManager();
 
   SessionManager(const SessionManager&) = delete;
@@ -138,8 +116,10 @@ class SessionManager {
   /// hot/restore path label on the server's latency metrics.
   runtime::Engine* acquire(SessionId id, bool* restored = nullptr);
 
-  /// Forces the session cold now (snapshot + engine teardown). Returns
-  /// false for unknown ids; a no-op for already-cold sessions.
+  /// Takes the session out of the hot set now and stages its park; the
+  /// snapshot is written and the engine torn down at the next
+  /// commit_parks() / flush_parks(). Returns false for unknown ids; a
+  /// no-op for sessions already cold or staged.
   bool evict(SessionId id);
 
   /// Destroys the session entirely. Returns false for unknown ids.
@@ -151,19 +131,17 @@ class SessionManager {
 
   /// The session's current machine state as QTACCEL-SNAPSHOT v2 text
   /// (serialized live for hot sessions; materialized on demand from the
-  /// cold base+delta chain for cold ones, so clients always see v2 text
-  /// regardless of park format; "" for a fresh session that never ran).
+  /// cold base+delta chain for cold ones, so clients always see v2 text;
+  /// "" for a fresh session that never ran).
   /// Flushes any pending parks first. Unknown id aborts — gate on
   /// exists().
   std::string snapshot_text(SessionId id);
 
-  /// Async-parking surface (no-ops unless options.async_park staged
-  /// something). pending_parks() exposes the staged queue so a caller
-  /// can fan serialize_park() out across worker threads — items are
-  /// independent; each worker must touch only its own element — then
-  /// commit_parks() on the control thread stores blobs, tears down
-  /// engines, and attributes counters. flush_parks() is the synchronous
-  /// fallback: serialize everything inline and commit.
+  /// Parking surface. pending_parks() exposes the staged queue so a
+  /// caller can fan serialize_park() out across worker threads — items
+  /// are independent; each worker must touch only its own element —
+  /// then commit_parks() on the control thread stores blobs, tears down
+  /// engines, and attributes counters. flush_parks() does both inline.
   std::vector<PendingPark>& pending_parks() { return pending_parks_; }
   static void serialize_park(PendingPark& park);
   void commit_parks();
@@ -188,12 +166,11 @@ class SessionManager {
   /// Migration surface (docs/sharding.md): export_session packs the
   /// session's portable state into `image` and removes the session.
   /// A hot session is parked inline first (reason "migrate", never
-  /// staged — the image must be complete when this returns, even under
-  /// async_park); a cold session's chain moves VERBATIM (v3 base +
-  /// deltas ship as-is, no engine is built and nothing inflates to v2
-  /// text) unless options.migrate_format asks for v2 interchange text.
-  /// A never-ran session exports an empty-base (fresh) image. Returns
-  /// false for unknown ids, leaving `image` untouched.
+  /// staged — the image must be complete when this returns); the chain
+  /// then moves VERBATIM (base + deltas ship as-is, no engine is built
+  /// and nothing inflates to v2 text). A never-ran session exports an
+  /// empty-base (fresh) image. Returns false for unknown ids, leaving
+  /// `image` untouched.
   bool export_session(SessionId id, MigrationImage* image);
 
   /// The receiving half: registers `id` holding the image's chain as
@@ -255,6 +232,9 @@ class SessionManager {
   //              from lru_evictions()).
   enum class EvictReason { kRequest, kLru, kRestore, kMigrate };
 
+  /// Stages a park of hot session `s` for `reason` (make_cold queues it,
+  /// export_session renders it at once). Takes the session off the LRU.
+  PendingPark stage_park(SessionId id, Session& s, EvictReason reason);
   void make_cold(SessionId id, Session& s, EvictReason reason);
   void make_hot(SessionId id, Session& s, bool* restored);
   /// Whether this park should be a v3 delta appended to the chain (vs a
@@ -276,7 +256,6 @@ class SessionManager {
   unsigned max_hot_;
   telemetry::MetricsRegistry* metrics_;
   telemetry::FlightRecorder* flight_;
-  SessionManagerOptions options_;
   std::map<SessionId, Session> sessions_;
   std::list<SessionId> lru_;  // front = least recently used, hot only
   std::vector<PendingPark> pending_parks_;
@@ -292,9 +271,8 @@ class SessionManager {
   telemetry::Counter* restore_counter_ = nullptr;
   telemetry::Counter* migrate_out_counter_ = nullptr;
   telemetry::Counter* migrate_in_counter_ = nullptr;
-  // Park/restore byte accounting by {format, kind}; deltas are always
-  // v3, so three series per direction cover the space.
-  telemetry::Counter* park_bytes_v2_full_ = nullptr;
+  // Park/restore byte accounting by {format, kind}. Parks are always
+  // v3; a v2 base is only ever restored, from an adopted image.
   telemetry::Counter* park_bytes_v3_full_ = nullptr;
   telemetry::Counter* park_bytes_v3_delta_ = nullptr;
   telemetry::Counter* restore_bytes_v2_full_ = nullptr;

@@ -17,6 +17,12 @@ namespace qta::serve {
 
 inline constexpr int kInvalidSocket = -1;
 
+/// Whether a parsed flag value names a TCP port (0..65535, 0 = let the
+/// kernel pick). The daemons check it before narrowing to uint16_t.
+inline constexpr bool valid_port(std::int64_t port) {
+  return port >= 0 && port <= 65535;
+}
+
 /// Listening socket on 127.0.0.1:`port` (SO_REUSEADDR, backlog 64).
 /// `port` 0 lets the kernel pick; *bound_port reports the result.
 int tcp_listen(std::uint16_t port, std::uint16_t* bound_port,

@@ -193,5 +193,17 @@ TEST(Cli, DoubleAndBoolValues) {
   EXPECT_TRUE(flags.get_bool("z", false));
 }
 
+TEST(CliDeath, RejectsMalformedNumbers) {
+  const char* argv[] = {"prog", "--port=abc", "--hot=8x", "--empty=",
+                        "--rate=0.5s", "--neg=-3"};
+  CliFlags flags(6, argv);
+  EXPECT_DEATH(flags.get_int("port", 0), "whole decimal number");
+  EXPECT_DEATH(flags.get_int("hot", 0), "whole decimal number");
+  EXPECT_DEATH(flags.get_int("empty", 0), "whole decimal number");
+  EXPECT_DEATH(flags.get_double("rate", 0.0), "needs a number");
+  EXPECT_DEATH(flags.get_double("empty", 0.0), "needs a number");
+  EXPECT_EQ(flags.get_int("neg", 0), -3);  // a sign is not trailing junk
+}
+
 }  // namespace
 }  // namespace qta

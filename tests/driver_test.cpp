@@ -7,6 +7,7 @@
 #include "env/grid_world.h"
 #include "qtaccel/golden_model.h"
 #include "rng/xoshiro.h"
+#include "runtime/snapshot.h"
 
 namespace qta::driver {
 namespace {
@@ -381,9 +382,9 @@ TEST(Device, SnapshotDmaRoundTripResumesBitExactly) {
 }
 
 TEST(Device, SnapshotDmaV3BinaryImageCarriesTheSameState) {
-  // The DMA save path can emit either wire form; both images of the
-  // same quiesced machine must restore to identical devices (the load
-  // path sniffs the version, no CSR involved).
+  // The DMA save path writes v2 text; a v3 image of the same quiesced
+  // machine must restore to an identical device (the load path sniffs
+  // the version, no CSR involved).
   env::GridWorld g(grid4());
   QtAccelDevice dev(g);
   dev.write_csr(off(Reg::kMaxEpisodeLen), 128);
@@ -394,8 +395,8 @@ TEST(Device, SnapshotDmaV3BinaryImageCarriesTheSameState) {
   }
 
   std::stringstream v2, v3;
-  dev.save_snapshot(v2);
-  dev.save_snapshot(v3, runtime::SnapshotFormat::kV3Binary);
+  dev.save_snapshot(v2);  // quiesces, so the engine is drained
+  runtime::save_snapshot_v3(*dev.engine(), v3);
   EXPECT_NE(v3.str().find("QTACCEL-SNAPSHOT v3\n"), std::string::npos);
   EXPECT_NE(v2.str(), v3.str());
 

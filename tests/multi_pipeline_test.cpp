@@ -386,10 +386,17 @@ TEST(SharedPipelines, V3CheckpointRestoresIdenticallyToV2) {
   SharedTablePipelines pool(g, c, 2);
   pool.run_cycles(6000);
 
-  // Same drained pool, both wire forms.
+  // Same drained pool, both wire forms. The pool writes v2 only, so the
+  // v3 stream is built by hand: the pool header plus one v3 image per
+  // pipe, which the reader must accept just the same.
   std::stringstream v2, v3;
-  pool.save_checkpoint(v2);
-  pool.save_checkpoint(v3, runtime::SnapshotFormat::kV3Binary);
+  pool.save_checkpoint(v2);  // drains, so every pipe's state is committed
+  v3 << "QTACCEL-POOL-CHECKPOINT v1\npipes 2\ncycles " << pool.cycles()
+     << '\n';
+  for (unsigned i = 0; i < pool.num_pipelines(); ++i) {
+    runtime::write_snapshot_v3(v3, pool.pipeline(i).config(), g,
+                               pool.pipeline(i).save_state());
+  }
   EXPECT_NE(v3.str().find("QTACCEL-SNAPSHOT v3\n"), std::string::npos);
   EXPECT_NE(v2.str(), v3.str());
 
@@ -419,9 +426,14 @@ TEST(IndependentPipelines, V3FleetCheckpointAndMixedFormatStreamsRestore) {
   };
   auto fleet = make();
   fleet->run_samples_each(6000, 2);
+  // The fleet writes v2 only; build its v3 twin by hand from the fleet
+  // header and one v3 image per engine.
   std::stringstream v2, v3;
   fleet->save_checkpoint(v2);
-  fleet->save_checkpoint(v3, runtime::SnapshotFormat::kV3Binary);
+  v3 << "QTACCEL-FLEET-CHECKPOINT v1\nengines 2\n";
+  for (unsigned i = 0; i < fleet->num_pipelines(); ++i) {
+    runtime::save_snapshot_v3(fleet->engine(i), v3);
+  }
 
   // Splice a MIXED stream — the v2 header + first engine section, then
   // the v3 second engine section. The loader sniffs each pipe's version

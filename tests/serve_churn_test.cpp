@@ -198,15 +198,15 @@ void churn(qtaccel::Backend backend) {
 // Step evicts the other session and every acquire restores a cold
 // chain. Short 32-sample epochs keep the dirty-row set small, so parks
 // after the first are v3 deltas; the chain compacts back to a full
-// image at max_delta_chain. snapshot_text() must still materialize v2
-// text bit-identical to an unserved engine that ran the same chunks —
-// through base+delta replay, compaction, and async park overlap.
-void delta_chain_churn(qtaccel::Backend backend, bool v2_full_parks) {
+// image at SessionManager::kMaxDeltaChain. snapshot_text() must still
+// materialize v2 text bit-identical to an unserved engine that ran the
+// same chunks — through base+delta replay, compaction, and park
+// serialization overlapped with the batch.
+void delta_chain_churn(qtaccel::Backend backend) {
   ServerOptions options;
   options.max_hot = 1;
   options.workers = 2;
   options.max_queue = 16;
-  if (v2_full_parks) options.park_format = ParkFormat::kV2Text;
   LoopbackTransport transport(options);
 
   constexpr std::size_t kPair = 2;
@@ -248,28 +248,15 @@ void delta_chain_churn(qtaccel::Backend backend, bool v2_full_parks) {
           .counter("qtserve_park_bytes_total",
                    {{"format", "v3"}, {"kind", "delta"}})
           .value();
-  const std::uint64_t v2_full =
-      metrics
-          .counter("qtserve_park_bytes_total",
-                   {{"format", "v2"}, {"kind", "full"}})
-          .value();
-  if (v2_full_parks) {
-    EXPECT_GT(v2_full, 0u);
-    EXPECT_EQ(v3_full, 0u);
-    EXPECT_EQ(v3_delta, 0u);  // deltas require a v3 chain
-  } else {
-    EXPECT_GT(v3_full, 0u);   // initial bases + compaction rebases
-    EXPECT_GT(v3_delta, 0u);  // steady-state parks are deltas
-    EXPECT_EQ(v2_full, 0u);
-    // The whole point: the average delta park is materially smaller
-    // than the average full park.
-    EXPECT_LT(v3_delta / (kPingPongRounds - 4), v3_full / 4);
-  }
+  EXPECT_GT(v3_full, 0u);   // initial bases + compaction rebases
+  EXPECT_GT(v3_delta, 0u);  // steady-state parks are deltas
+  // The whole point: the average delta park is materially smaller than
+  // the average full park.
+  EXPECT_LT(v3_delta / (kPingPongRounds - 4), v3_full / 4);
   const std::uint64_t restore_total =
       metrics
           .counter("qtserve_restore_bytes_total",
-                   {{"format", v2_full_parks ? "v2" : "v3"},
-                    {"kind", "full"}})
+                   {{"format", "v3"}, {"kind", "full"}})
           .value();
   EXPECT_GT(restore_total, 0u);
 
@@ -292,20 +279,15 @@ void delta_chain_churn(qtaccel::Backend backend, bool v2_full_parks) {
 }
 
 TEST(ServeChurnDelta, ChainsAndCompactsOnFastBackend) {
-  delta_chain_churn(qtaccel::Backend::kFast, /*v2_full_parks=*/false);
+  delta_chain_churn(qtaccel::Backend::kFast);
 }
 
 TEST(ServeChurnDelta, ChainsAndCompactsOnCycleBackend) {
-  delta_chain_churn(qtaccel::Backend::kCycleAccurate,
-                    /*v2_full_parks=*/false);
+  delta_chain_churn(qtaccel::Backend::kCycleAccurate);
 }
 
 TEST(ServeChurnDelta, ChainsAndCompactsOnLanesBackend) {
-  delta_chain_churn(qtaccel::Backend::kLanes, /*v2_full_parks=*/false);
-}
-
-TEST(ServeChurnDelta, V2TextParkFormatStaysBitExact) {
-  delta_chain_churn(qtaccel::Backend::kFast, /*v2_full_parks=*/true);
+  delta_chain_churn(qtaccel::Backend::kLanes);
 }
 
 TEST(ServeChurn, SixtyFourSessionsBitExactOnFastBackend) {

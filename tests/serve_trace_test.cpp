@@ -198,7 +198,6 @@ TEST(ServeTrace, LaneGroupSpansLandOnTheirOwnTrack) {
   options.max_hot = 4;
   options.workers = 2;
   options.trace = true;
-  options.coalesce_lanes = true;
   LoopbackTransport transport(options);
 
   std::vector<SessionId> ids(4);

@@ -4,8 +4,8 @@
 //     pins override raw placement.
 //   - SessionManager migration surface: export/adopt round trips are
 //     bit-exact, a cold session's v3 delta chain ships verbatim without
-//     building an engine, and --migrate-format=v2 materializes
-//     interchange text instead.
+//     building an engine, and a v2 base (what router failover adopts)
+//     takes v3 deltas and still ships verbatim.
 //   - Worker-side MigrateOut/MigrateIn through a full serve::Server.
 //   - Router end-to-end over LocalCluster: proxied lifecycle is
 //     bit-identical to a standalone engine, live migration is invisible
@@ -192,16 +192,16 @@ TEST(ShardMigration, HotExportAdoptsBitExact) {
 }
 
 TEST(ShardMigration, ColdDeltaChainShipsVerbatimWithoutEngineBuild) {
-  serve::SessionManagerOptions opts;
-  opts.park_format = serve::ParkFormat::kV3Binary;
-  opts.max_delta_chain = 4;
-  serve::SessionManager source(1, nullptr, nullptr, opts);
+  serve::SessionManager source(1, nullptr);
   const serve::SessionId a = source.create(small_spec(21));
   const serve::SessionId b = source.create(small_spec(22));
   // Build a base + delta chain on `a`: run, evict (full v3 park), run
   // again, evict (delta).
   source.acquire(a)->run_samples(300);
-  source.acquire(b);  // max_hot=1: parks `a` as a full v3 image
+  source.acquire(b);  // max_hot=1: stages a full v3 park of `a`
+  // Commit it now; otherwise acquire(a) would just cancel the staged
+  // park and `a` would never go cold.
+  source.flush_parks();
   runtime::Engine* hot = source.acquire(a);
   hot->run_samples(600);
   const std::uint64_t samples = hot->stats().samples;
@@ -226,28 +226,42 @@ TEST(ShardMigration, ColdDeltaChainShipsVerbatimWithoutEngineBuild) {
   EXPECT_EQ(adopted->stats().samples, samples);
 }
 
-TEST(ShardMigration, MigrateFormatV2MaterializesInterchangeText) {
-  serve::SessionManagerOptions opts;
-  opts.park_format = serve::ParkFormat::kV3Binary;
-  opts.migrate_format = serve::ParkFormat::kV2Text;
-  serve::SessionManager source(1, nullptr, nullptr, opts);
-  const serve::SessionId a = source.create(small_spec(31));
-  const serve::SessionId b = source.create(small_spec(32));
-  source.acquire(a)->run_samples(250);
-  source.acquire(b);  // parks `a` as v3 binary
-  const std::string text = source.snapshot_text(a);
+// What router failover hands a survivor: a session whose base is v2
+// text (a Snapshot reply). Parking it after it runs appends a v3 delta
+// to that v2 base; the mixed chain exports verbatim and still restores
+// to its standalone twin's exact bytes on the next worker.
+TEST(ShardMigration, V2BaseTakesV3DeltaAndShipsVerbatim) {
+  const serve::SessionSpec spec = small_spec(31);
+  serve::MigrationImage checkpoint;
+  checkpoint.spec = spec;
+  checkpoint.base = replay_snapshot(spec, {250});
+  checkpoint.base_is_v3 = false;
+
+  const serve::SessionId a = 5;
+  serve::SessionManager source(1, nullptr);
+  ASSERT_EQ(source.adopt_session(a, checkpoint), "");
+  runtime::Engine* engine = source.acquire(a);
+  ASSERT_NE(engine, nullptr);
+  engine->run_samples(engine->stats().samples + 40);
+  ASSERT_TRUE(source.evict(a));
+  source.flush_parks();
+  EXPECT_FALSE(source.is_hot(a));
 
   serve::MigrationImage image;
   ASSERT_TRUE(source.export_session(a, &image));
-  // The escape hatch: the v3 chain was materialized to one v2 text
-  // image (for fleets mid-upgrade whose target workers predate v3).
   EXPECT_FALSE(image.base_is_v3);
-  EXPECT_TRUE(image.deltas.empty());
-  EXPECT_EQ(image.base, text);
+  EXPECT_EQ(image.base, checkpoint.base);  // the v2 base, untouched
+  ASSERT_EQ(image.deltas.size(), 1u);      // plus one v3 delta
+  EXPECT_EQ(image.deltas[0].rfind("QTACCEL-SNAPSHOT v3\n", 0), 0u);
 
   serve::SessionManager target(2, nullptr);
   ASSERT_EQ(target.adopt_session(a, image), "");
-  EXPECT_EQ(target.snapshot_text(a), text);
+  EXPECT_EQ(target.snapshot_text(a), replay_snapshot(spec, {250, 40}));
+  // Restoring the mixed chain into an engine resumes bit-exactly too.
+  runtime::Engine* adopted = target.acquire(a);
+  ASSERT_NE(adopted, nullptr);
+  adopted->run_samples(adopted->stats().samples + 30);
+  EXPECT_EQ(target.snapshot_text(a), replay_snapshot(spec, {250, 40, 30}));
 }
 
 TEST(ShardMigration, FreshSessionExportsEmptyBaseAndAdoptsAsCreate) {

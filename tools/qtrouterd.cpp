@@ -77,12 +77,14 @@ std::optional<std::vector<ShardEndpoint>> parse_shards(
     ep.host = entry.substr(0, first);
     const std::size_t second = entry.find(':', first + 1);
     try {
-      ep.port = static_cast<std::uint16_t>(
-          std::stoul(entry.substr(first + 1, second - first - 1)));
-      if (second != std::string::npos) {
-        ep.http_port = static_cast<std::uint16_t>(
-            std::stoul(entry.substr(second + 1)));
-      }
+      const unsigned long port =
+          std::stoul(entry.substr(first + 1, second - first - 1));
+      const unsigned long http_port =
+          second == std::string::npos ? 0
+                                      : std::stoul(entry.substr(second + 1));
+      if (port > 65535 || http_port > 65535) return std::nullopt;
+      ep.port = static_cast<std::uint16_t>(port);
+      ep.http_port = static_cast<std::uint16_t>(http_port);
     } catch (...) {
       return std::nullopt;
     }
@@ -220,7 +222,7 @@ int main(int argc, char** argv) {
       static_cast<unsigned>(flags.get_int("migrate-every", 0));
   options.flight_recorder_capacity =
       static_cast<std::size_t>(flags.get_int("flight-capacity", 256));
-  const auto port = static_cast<std::uint16_t>(flags.get_int("port", 7478));
+  const std::int64_t port_flag = flags.get_int("port", 7478);
   const std::string port_file = flags.get_string("port-file", "");
   const std::int64_t http_port_flag = flags.get_int("http-port", -1);
   const std::string http_port_file = flags.get_string("http-port-file", "");
@@ -232,6 +234,12 @@ int main(int argc, char** argv) {
     std::cerr << "qtrouterd: unknown flag --" << unused << "\n";
     return 2;
   }
+  if (!serve::valid_port(port_flag) ||
+      (flags.has("http-port") && !serve::valid_port(http_port_flag))) {
+    std::cerr << "qtrouterd: --port and --http-port must be in 0..65535\n";
+    return 2;
+  }
+  const auto port = static_cast<std::uint16_t>(port_flag);
   const std::optional<std::vector<ShardEndpoint>> endpoints =
       parse_shards(shards_flag);
   if (!endpoints.has_value()) {

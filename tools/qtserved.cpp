@@ -14,22 +14,18 @@
 //                 [--trace=out.json] [--verbose]
 //                 [--http-port=N] [--http-port-file=path]
 //                 [--flight-capacity=256]
-//                 [--park-format=v3] [--sync-park] [--max-delta-chain=4]
-//                 [--migrate-format=v3]
 //
 // --port=0 lets the kernel pick; --port-file writes the bound port for
 // scripts. --http-port opens a second listener speaking plain HTTP
 // (serve/http_endpoint.h: /metrics for Prometheus, /healthz,
 // /flightrecorder) on the same poll loop — scrape connections are
 // one-shot and never touch engine state. --flight-capacity sizes the
-// flight-recorder ring (0 disables it). Checkpointing knobs
-// (docs/serving.md): --park-format=v2|v3 picks the full-image format
-// for cold sessions, --max-delta-chain bounds the v3 delta chain
-// (0 = full images only), and --sync-park serializes parks inline on
-// the control thread instead of overlapping them with batch execution.
-// --migrate-format=v2|v3 is the escape hatch mirroring --park-format
-// for MigrateOut payloads: v3 (default) ships a cold session's parked
-// delta chain verbatim, v2 materializes plain snapshot text first.
+// flight-recorder ring (0 disables it). Cold sessions park as v3 base +
+// dirty-row delta chains, serialized on the worker pool alongside each
+// batch; MigrateOut ships a session's chain verbatim (docs/serving.md).
+// Ports must lie in 0..65535 and --max-hot must be at least 1; an
+// out-of-range value or an unknown flag exits 2 before anything binds
+// (a value that is not a number at all aborts in CliFlags).
 // A Shutdown request stops the accept loop, drains every staged
 // request and output buffer, optionally writes the trace, and exits 0.
 #include <fcntl.h>
@@ -40,6 +36,7 @@
 #include <deque>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <list>
 #include <optional>
 #include <string>
@@ -134,7 +131,7 @@ bool http_write_some(HttpConnection& conn) {
 int main(int argc, char** argv) {
   CliFlags flags(argc, argv);
   serve::ServerOptions options;
-  options.max_hot = static_cast<unsigned>(flags.get_int("max-hot", 8));
+  const std::int64_t max_hot = flags.get_int("max-hot", 8);
   options.workers = static_cast<unsigned>(flags.get_int("workers", 4));
   options.max_queue =
       static_cast<std::size_t>(flags.get_int("max-queue", 64));
@@ -142,24 +139,7 @@ int main(int argc, char** argv) {
   options.trace = !trace_path.empty();
   options.flight_recorder_capacity =
       static_cast<std::size_t>(flags.get_int("flight-capacity", 256));
-  const std::string park_format = flags.get_string("park-format", "v3");
-  if (park_format == "v2") {
-    options.park_format = serve::ParkFormat::kV2Text;
-  } else if (park_format != "v3") {
-    std::cerr << "qtserved: --park-format must be v2 or v3\n";
-    return 2;
-  }
-  const std::string migrate_format = flags.get_string("migrate-format", "v3");
-  if (migrate_format == "v2") {
-    options.migrate_format = serve::ParkFormat::kV2Text;
-  } else if (migrate_format != "v3") {
-    std::cerr << "qtserved: --migrate-format must be v2 or v3\n";
-    return 2;
-  }
-  options.async_park = !flags.get_bool("sync-park", false);
-  options.max_delta_chain =
-      static_cast<unsigned>(flags.get_int("max-delta-chain", 4));
-  const auto port = static_cast<std::uint16_t>(flags.get_int("port", 7477));
+  const std::int64_t port_flag = flags.get_int("port", 7477);
   const std::string port_file = flags.get_string("port-file", "");
   const std::int64_t http_port_flag = flags.get_int("http-port", -1);
   const std::string http_port_file = flags.get_string("http-port-file", "");
@@ -168,6 +148,18 @@ int main(int argc, char** argv) {
     std::cerr << "qtserved: unknown flag --" << unused << "\n";
     return 2;
   }
+  if (!serve::valid_port(port_flag) ||
+      (flags.has("http-port") && !serve::valid_port(http_port_flag))) {
+    std::cerr << "qtserved: --port and --http-port must be in 0..65535\n";
+    return 2;
+  }
+  if (max_hot < 1 || max_hot > std::numeric_limits<unsigned>::max()) {
+    std::cerr << "qtserved: --max-hot must be in 1.."
+              << std::numeric_limits<unsigned>::max() << "\n";
+    return 2;
+  }
+  options.max_hot = static_cast<unsigned>(max_hot);
+  const auto port = static_cast<std::uint16_t>(port_flag);
 
   std::string error;
   std::uint16_t bound_port = 0;
