@@ -1,22 +1,24 @@
-// Perf-regression smoke for the fast functional backend (CI: perf-smoke).
+// Perf-regression smoke for the functional backends (CI: perf-smoke).
 //
 // Four claims, one artifact (BENCH_fast_engine.json at the CWD, which CI
 // runs from the repo root):
 //   1. Bit-exactness (an exit-code gate): on the paper's largest
-//      Table I workload (262144 states x 8 actions), FastEngine retires a
-//      trace, Q table, Qmax table, and PipelineStats bit-identical to the
-//      cycle-accurate Pipeline; and the work-stealing vs static schedules
-//      produce bit-identical per-pipeline tables (results must not depend
-//      on host scheduling).
+//      Table I workload (262144 states x 8 actions), a fast-backend
+//      engine (one lane on the solo schedule) retires a trace, Q table,
+//      Qmax table, and PipelineStats bit-identical to the cycle-accurate
+//      Pipeline; and the work-stealing vs static schedules produce
+//      bit-identical per-pipeline tables (results must not depend on
+//      host scheduling).
 //   2. Host throughput (report-only): fast backend >= 20x the
 //      cycle-accurate backend in samples/s, single- and multi-pipeline.
 //   3. Skew rebalancing (report-only): 16 pipelines (1 large + 15 small)
 //      on 4 threads finish measurably faster under the work-stealing pool
 //      than under the legacy static round-robin partition.
-//   4. Lane batching: a 1/4/8/16-lane sweep of the lane-batched backend
-//      on a latency-bound random MDP whose Q table dwarfs the LLC.
-//      Per-lane bit-exactness vs solo FastEngine runs is a gate; the
-//      lane_speedup_vs_fast numbers are report-only, and bounded by the
+//   4. Lane batching: a 1/4/8/16-lane sweep of the lanes backend on a
+//      latency-bound random MDP whose Q table dwarfs the LLC (one lane
+//      runs the solo schedule, more run the group schedule). At 4 lanes,
+//      every group lane bit-identical to a solo fast engine is a gate;
+//      the lane_speedup_vs_fast numbers are report-only, and bounded by the
 //      host's memory-level parallelism — a core that overlaps few cache
 //      misses gains little from batching independent miss streams, so
 //      low speedups on small hosts are expected and honest.
@@ -402,9 +404,10 @@ int main(int argc, char** argv) {
         .field("lane_speedup_vs_fast", lane_speedup)
         .end_object();
 
-    // Gate (lanes=4 point): every lane bit-identical to a solo
-    // FastEngine run with the same seed — stats fingerprint plus a
-    // strided Q/Qmax sweep over the whole table.
+    // Gate (lanes=4 point): every lane of the group bit-identical to a
+    // solo fast engine with the same seed — stats fingerprint plus a
+    // strided Q/Qmax sweep over the whole table. The group reads the
+    // pre-baked record table, the solo engine calls the environment.
     if (lanes == 4) {
       for (int i = 0; i < lanes && lanes_exact; ++i) {
         const runtime::Engine& lane =

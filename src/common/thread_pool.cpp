@@ -156,8 +156,13 @@ void ThreadPool::worker_main(unsigned id) {
     }
     seen_epoch = epoch_;
     // A worker that slept through a whole batch (siblings drained it)
-    // wakes here with a stale fn_; its queues are empty by then, so the
-    // pointer is never called.
+    // wakes here with a stale fn_ whose caller-owned function may be
+    // gone. Skip the batch: registered as active with that pointer, it
+    // could steal the NEXT batch's items and run them through it.
+    if (unfinished_ == 0) {
+      mu_.unlock();
+      continue;
+    }
     const std::function<void(std::size_t)>* fn = fn_;
     ++active_;
     mu_.unlock();

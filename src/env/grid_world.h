@@ -62,7 +62,7 @@ class GridWorld final : public Environment {
 
   /// Deterministic move. Inline (it is also the devirtualized fast path
   /// of the functional backend, which executes it once per sample and
-  /// needs the optimizer to see through it — see qtaccel/fast_engine.h).
+  /// needs the optimizer to see through it — see qtaccel/lane_engine.h).
   StateId transition(StateId s, ActionId a) const override {
     QTA_DCHECK(s < num_states() && a < num_actions());
     int dx = 0, dy = 0;

@@ -49,18 +49,20 @@ enum class QmaxMode {
   kExactScan,      // full-row comparator tree: exact max, extra LUTs
 };
 
-/// Host execution backend (see docs/fast_engine.md). Both replay the
+/// Host execution backend (see docs/fast_engine.md). All replay the
 /// accelerator's exact semantics and retire bit-identical traces; they
 /// differ only in what the host pays per sample.
 enum class Backend {
   kCycleAccurate,  // qtaccel/pipeline.h: per-cycle SimKernel/Bram/port
                    // accounting, waveforms, stall ablation — the model
                    // of record for hardware-shape claims
-  kFast,           // qtaccel/fast_engine.h: batch functional replay on
-                   // flat arrays; PipelineStats reconstructed analytically
-  kLanes,          // qtaccel/lane_engine.h: structure-of-arrays batch of
-                   // independent FastEngine replicas advanced one round
-                   // per step loop (SIMD across lanes); per lane
+  kFast,           // qtaccel/lane_engine.h, one lane on the solo
+                   // schedule: functional replay on flat arrays;
+                   // PipelineStats reconstructed analytically; never
+                   // joins a lane group
+  kLanes,          // the same engine, but its state may join a lane
+                   // group (runtime/lane_coalescer.h) that advances N
+                   // sessions per round (SIMD across lanes); per lane
                    // bit-identical to kFast
 };
 

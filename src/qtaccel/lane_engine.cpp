@@ -24,12 +24,15 @@ namespace qta::qtaccel {
 
 namespace {
 
-// Pre-bake bound for the shared transition table (entries). Wider than
-// FastEngine's: a flat next-state table is what lets pass_addr prefetch
-// the transition lookup, which is the whole point of lane batching on
-// latency-bound tables — so it pays for itself well past cache
-// residency. 2^24 entries caps the bake at 64 MiB, shared by the group.
-constexpr std::uint64_t kMaxPrebakedTransitions = std::uint64_t{1} << 24;
+// Pre-bake bounds for the {s,a} record table (EnvImage's bake rule). A
+// group-capable image bakes up to 2^24 records: the record is what lets
+// pass_addr prefetch the transition lookup, which is the whole point of
+// lane batching on latency-bound tables, so it pays for itself well
+// past cache residency. A kFast image stops where the records are still
+// cache-resident: each engine bakes its own image, so past that the
+// records' memory would be paid once per engine.
+constexpr std::uint64_t kMaxGroupRecords = std::uint64_t{1} << 24;
+constexpr std::uint64_t kMaxSoloRecords = std::uint64_t{1} << 16;
 
 // Back a large table with transparent huge pages when the kernel allows
 // it. The lane engine lives or dies by memory-level parallelism: on 4 KiB
@@ -119,27 +122,32 @@ inline fixed::raw_t clamp_flag(fixed::raw_t v, fixed::raw_t lo,
   return v;
 }
 
+// One slot's update: new_q, with the saturation mask in `flags`.
+inline fixed::raw_t update_one(fixed::raw_t r, fixed::raw_t q_old,
+                               fixed::raw_t q_next, fixed::raw_t alpha,
+                               fixed::raw_t one_minus_alpha,
+                               fixed::raw_t alpha_gamma, std::int64_t half,
+                               std::uint64_t shift, fixed::raw_t lo,
+                               fixed::raw_t hi, std::uint8_t& flags) {
+  const fixed::raw_t term_r =
+      clamp_flag(round_shift(r * alpha, half, shift), lo, hi, flags, 1u);
+  const fixed::raw_t term_old = clamp_flag(
+      round_shift(q_old * one_minus_alpha, half, shift), lo, hi, flags, 2u);
+  const fixed::raw_t term_next = clamp_flag(
+      round_shift(q_next * alpha_gamma, half, shift), lo, hi, flags, 4u);
+  const fixed::raw_t sum1 = clamp_flag(term_r + term_old, lo, hi, flags, 8u);
+  return clamp_flag(sum1 + term_next, lo, hi, flags, 16u);
+}
+
 // Portable kernel: a flat loop over packed slots, written so the
 // compiler can autovectorize (no calls, no aborts, branch-free rounding;
 // the clamp compiles to min/max + compare).
 void kernel_scalar(const LaneEngine::KernelArgs& k) {
   for (std::size_t i = 0; i < k.n; ++i) {
-    const std::int64_t half = k.half[i];
-    const std::uint64_t shift = k.shift[i];
-    const fixed::raw_t lo = k.lo[i];
-    const fixed::raw_t hi = k.hi[i];
     std::uint8_t flags = 0;
-    const fixed::raw_t term_r = clamp_flag(
-        round_shift(k.r[i] * k.alpha[i], half, shift), lo, hi, flags, 1u);
-    const fixed::raw_t term_old = clamp_flag(
-        round_shift(k.q_old[i] * k.one_minus_alpha[i], half, shift), lo,
-        hi, flags, 2u);
-    const fixed::raw_t term_next = clamp_flag(
-        round_shift(k.q_next[i] * k.alpha_gamma[i], half, shift), lo, hi,
-        flags, 4u);
-    const fixed::raw_t sum1 =
-        clamp_flag(term_r + term_old, lo, hi, flags, 8u);
-    k.new_q[i] = clamp_flag(sum1 + term_next, lo, hi, flags, 16u);
+    k.new_q[i] = update_one(k.r[i], k.q_old[i], k.q_next[i], k.alpha[i],
+                            k.one_minus_alpha[i], k.alpha_gamma[i],
+                            k.half[i], k.shift[i], k.lo[i], k.hi[i], flags);
     k.sat_bits[i] = flags;
   }
 }
@@ -378,7 +386,11 @@ void LaneEngine::Scratch::resize(std::size_t n) {
 }
 
 std::shared_ptr<const LaneEngine::EnvImage> LaneEngine::build_env_image(
-    const env::Environment& env, fixed::Format q_fmt) {
+    const env::Environment& env, const PipelineConfig& config) {
+  const fixed::Format q_fmt = config.q_fmt;
+  const std::uint64_t max_records = config.backend == Backend::kFast
+                                        ? kMaxSoloRecords
+                                        : kMaxGroupRecords;
   auto image = std::make_shared<EnvImage>();
   image->env = &env;
   image->map = make_address_map(env);
@@ -386,7 +398,8 @@ std::shared_ptr<const LaneEngine::EnvImage> LaneEngine::build_env_image(
   image->num_states = env.num_states();
   image->num_actions = env.num_actions();
   image->reward.assign(image->map.depth(), 0);
-  // Host-side initialization boundary, as in FastEngine's constructor.
+  // Host-side initialization boundary: quantizing the environment's
+  // double rewards into the BRAM image, exactly as Pipeline::init_tables.
   // qtlint: push-allow(datapath-purity)
   for (StateId s = 0; s < env.num_states(); ++s) {
     for (ActionId a = 0; a < env.num_actions(); ++a) {
@@ -404,7 +417,7 @@ std::shared_ptr<const LaneEngine::EnvImage> LaneEngine::build_env_image(
     image->grid = dynamic_cast<const env::GridWorld*>(&env);
   }
   if (image->noise_bits == 0 && image->grid == nullptr &&
-      env.table_size() <= kMaxPrebakedTransitions) {
+      env.table_size() <= max_records) {
     image->sa.resize(env.table_size());
     for (StateId s = 0; s < env.num_states(); ++s) {
       for (ActionId a = 0; a < env.num_actions(); ++a) {
@@ -495,7 +508,7 @@ void LaneEngine::init_lanes(const std::vector<LaneSpec>& lanes) {
                     "donated environment image does not match the lane");
       image_.push_back(spec.image);
     } else {
-      image_.push_back(build_env_image(*spec.env, spec.config.q_fmt));
+      image_.push_back(build_env_image(*spec.env, spec.config));
     }
     map_.push_back(image_.back()->map);
     coeff_.push_back(make_coefficients(spec.config));
@@ -590,27 +603,10 @@ void LaneEngine::commit_hot(std::size_t lane) {
   dsp_saturations_[lane] = {h.dsp_sat[0], h.dsp_sat[1], h.dsp_sat[2]};
 }
 
-void LaneEngine::exact_row_max(std::size_t lane,
-                               const std::vector<fixed::raw_t>& table,
-                               StateId s, fixed::raw_t& value,
-                               ActionId& action) const {
-  const AddressMap& map = map_[lane];
-  value = table[map.q_addr(s, 0)];
-  action = 0;
-  for (ActionId a = 1; a < image_[lane]->num_actions; ++a) {
-    const fixed::raw_t v = table[map.q_addr(s, a)];
-    if (v > value) {
-      value = v;
-      action = a;
-    }
-  }
-}
-
 namespace {
 
-// Hot-record helpers for the passes: the same logic as the LaneEngine
-// member helpers, but off raw pointers so the passes touch no member
-// vectors.
+// Exact max (first argmax on ties) of the Q row starting at `row`, off
+// raw pointers so the passes touch no member vectors.
 inline void row_max_ptr(const fixed::raw_t* table, std::uint64_t row,
                         ActionId num_actions, fixed::raw_t& value,
                         ActionId& action) {
@@ -628,6 +624,9 @@ inline void row_max_ptr(const fixed::raw_t* table, std::uint64_t row,
 }  // namespace
 
 StateId LaneEngine::hot_next_state(Hot& L, StateId s, ActionId a) {
+  // GridWorld is final, so this call devirtualizes and inlines — the
+  // paper's evaluation workload computes transitions with a handful of
+  // ALU ops instead of chasing a pre-baked table through the LLC.
   if (L.grid != nullptr) return L.grid->transition(s, a);
   if (L.sa_rec != nullptr) return L.sa_rec[L.q_addr(s, a)].next;
   return L.noise_bits == 0
@@ -638,13 +637,16 @@ StateId LaneEngine::hot_next_state(Hot& L, StateId s, ActionId a) {
 
 // --- the issue phases: everything ahead of the stage-3 arithmetic ----
 //
-// One lane, one iteration, split across three thin phases run
-// lane-major so every live lane's prefetches are issued before any lane
-// consumes them. The LFSR draws stay in exactly FastEngine::step_one_t's
-// per-lane order: start draw, behavior draw, table select (pass_addr),
-// transition noise (pass_next), epsilon (pass_read). Bubbles retire
-// entirely in pass_addr and leave the slot inactive (zeroed operands
-// keep the kernel's products harmless).
+// One lane, one iteration, split across three thin phases; the group
+// schedule runs each lane-major so every live lane's prefetches are
+// issued before any lane consumes them. The LFSR draws stay in the
+// golden model's per-iteration order: start draw, behavior draw, table
+// select (pass_addr), transition noise (pass_next), epsilon (pass_read).
+// Bubbles (a terminal start state: the zero-length episode is redrawn
+// next iteration) retire entirely in pass_addr; the slot occupies a
+// pipeline slot, so the raise window advances, but pushes no
+// write-back, and the inactive slot's zeroed operands keep the kernel's
+// products harmless.
 template <Algorithm kAlgo, bool kTel>
 void LaneEngine::pass_addr(Hot& L, std::size_t slot) {
   const std::uint64_t iter = L.stats.iterations;
@@ -825,6 +827,11 @@ void LaneEngine::pass_read(Hot& L, std::size_t slot) {
     }
   }
 
+  // Stage-3 forwarding-hit reconstruction. In stall mode nothing raises
+  // Qmax ahead of BRAM commit, so the fwd_qmax counter (kCountFwd) never
+  // fires; the queue-address matches still do, because WritebackQueue
+  // entries are matched by address equality and are never retired from
+  // the registers.
   const std::uint64_t tagged_sa = L.tagged_sa;
   if (hot_wb_hit(L, tagged_sa)) {
     ++L.stats.fwd_q_sa;
@@ -873,6 +880,8 @@ void LaneEngine::pass_retire(Hot& L, std::size_t slot) {
     }
   }
 
+  // The write-back ring mirrors the forwarding queue (samples only); the
+  // raise ring advances for every iteration (pipeline slots).
   L.wb[2] = L.wb[1];
   L.wb[1] = L.wb[0];
   L.wb[0] = L.tagged_sa;
@@ -933,6 +942,64 @@ void LaneEngine::pack_params(const std::vector<std::size_t>& live) {
   params_dirty_ = false;
 }
 
+bool LaneEngine::lane_done(RunCtl& ctl, std::uint64_t samples,
+                           bool forward) {
+  if (ctl.sample_target == 0) return --ctl.remaining == 0;
+  if (samples < ctl.sample_target) return false;
+  if (!forward) return true;
+  // The pipeline keeps issuing while the final sample drains toward
+  // stage 4: exactly 3 extra iterations retire.
+  ctl.sample_target = 0;
+  ctl.remaining = 3;
+  return false;
+}
+
+template <Algorithm kAlgo, bool kMono, bool kCountFwd, bool kTel>
+void LaneEngine::run_solo(std::size_t lane) {
+  Hot& L = hot_[lane];
+  RunCtl& ctl = ctl_[lane];
+  const bool forward = config_[lane].hazard == HazardMode::kForward;
+  const fixed::raw_t alpha = k_alpha_[lane];
+  const fixed::raw_t one_minus_alpha = k_one_minus_alpha_[lane];
+  const fixed::raw_t alpha_gamma = k_alpha_gamma_[lane];
+  const std::int64_t half = k_half_[lane];
+  const std::uint64_t shift = k_shift_[lane];
+  const fixed::raw_t lo = k_lo_[lane];
+  const fixed::raw_t hi = k_hi_[lane];
+  const std::uint64_t row_span = (std::uint64_t{1} << L.action_bits) - 1;
+  do {
+    pass_addr<kAlgo, kTel>(L, 0);
+    if (L.active != 0) {
+      pass_next<kAlgo, kMono>(L);
+      // The next iteration reads s_next's Q and reward rows; their
+      // addresses are known a full iteration ahead of use, so start
+      // those (random, hence hardware-prefetcher-proof) fetches now. A
+      // row can straddle a cache line, so touch both ends.
+      const std::uint64_t row = L.q_addr(L.s_next, 0);
+      prefetch_ro(&L.learn_tables[0][row]);
+      prefetch_ro(&L.learn_tables[0][row + row_span]);
+      if constexpr (kAlgo == Algorithm::kDoubleQ) {
+        prefetch_ro(&L.learn_tables[1][row]);
+        prefetch_ro(&L.learn_tables[1][row + row_span]);
+      }
+      if (L.sa_rec != nullptr) {
+        prefetch_ro(&L.sa_rec[row]);
+        prefetch_ro(&L.sa_rec[row + row_span]);
+      } else {
+        prefetch_ro(&L.reward[row]);
+        prefetch_ro(&L.reward[row + row_span]);
+      }
+      pass_read<kAlgo, kMono, kCountFwd, kTel>(L, 0);
+      std::uint8_t flags = 0;
+      sc_.new_q[0] =
+          update_one(sc_.r[0], sc_.q_old[0], sc_.q_next[0], alpha,
+                     one_minus_alpha, alpha_gamma, half, shift, lo, hi, flags);
+      sc_.sat_bits[0] = flags;
+      pass_retire<kAlgo, kMono, kTel>(L, 0);
+    }
+  } while (!lane_done(ctl, L.stats.samples, forward));
+}
+
 template <Algorithm kAlgo, bool kMono, bool kCountFwd, bool kTel>
 void LaneEngine::run_rounds(std::vector<std::size_t>& live) {
   Hot* const hot = hot_.data();
@@ -975,28 +1042,11 @@ void LaneEngine::run_rounds(std::vector<std::size_t>& live) {
       }
     }
 
-    // Run control: a sampling lane leaves (or starts its drain) once its
-    // target is met; iteration/drain lanes count down.
     std::size_t out = 0;
     for (std::size_t i = 0; i < n; ++i) {
       const std::size_t lane = live[i];
-      RunCtl& ctl = ctl_[lane];
-      bool done = false;
-      if (ctl.sample_target != 0) {
-        if (hot[lane].stats.samples >= ctl.sample_target) {
-          if (config_[lane].hazard == HazardMode::kForward) {
-            // The pipeline keeps issuing while the final sample drains:
-            // exactly 3 extra iterations retire (FastEngine::run_samples).
-            ctl.sample_target = 0;
-            ctl.remaining = 3;
-          } else {
-            done = true;
-          }
-        }
-      } else {
-        if (--ctl.remaining == 0) done = true;
-      }
-      if (!done) {
+      if (!lane_done(ctl_[lane], hot[lane].stats.samples,
+                     config_[lane].hazard == HazardMode::kForward)) {
         live[out++] = lane;
       } else {
         params_dirty_ = true;
@@ -1012,7 +1062,13 @@ void LaneEngine::run_rounds_any(std::vector<std::size_t>& live) {
   for (const std::size_t lane : live) {
     any_tel = any_tel || telemetry_[lane] != nullptr;
   }
-  if (any_tel) {
+  if (live.size() == 1) {
+    if (any_tel) {
+      run_solo<kAlgo, kMono, kCountFwd, true>(live[0]);
+    } else {
+      run_solo<kAlgo, kMono, kCountFwd, false>(live[0]);
+    }
+  } else if (any_tel) {
     run_rounds<kAlgo, kMono, kCountFwd, true>(live);
   } else {
     run_rounds<kAlgo, kMono, kCountFwd, false>(live);
@@ -1052,7 +1108,9 @@ void LaneEngine::run_group(const std::vector<std::size_t>& lanes_to_run,
       ctl.sample_target = 0;
       ctl.remaining = values[i];
     }
-    // Fresh run: the prior drain committed every in-flight raise.
+    // Fresh run: the prior drain committed every in-flight raise, so only
+    // raises from THIS run can be ahead of the BRAM. (The write-back
+    // ring persists: queue entries are registers that never age out.)
     raise_ring_[lane] = {};
     ctl.iters_at_entry = stats_[lane].iterations;
     live.push_back(lane);
@@ -1084,8 +1142,8 @@ void LaneEngine::run_group(const std::vector<std::size_t>& lanes_to_run,
       break;
   }
 
-  // Exit accounting per participating lane, exactly as the FastEngine
-  // run_* epilogues attribute cycles and emit RunEvents.
+  // Exit accounting per participating lane: the analytic cycle
+  // attribution of one run_* call, and its RunEvent.
   for (const std::size_t lane : entered) {
     commit_hot(lane);
     PipelineStats& st = stats_[lane];
@@ -1093,10 +1151,14 @@ void LaneEngine::run_group(const std::vector<std::size_t>& lanes_to_run,
     telemetry::RunEvent run;
     if (samples_mode) {
       if (config_[lane].hazard == HazardMode::kForward) {
+        // The drain iterations issued inside the run; then the 3-cycle
+        // drain of stages 2..4.
         run.issue_cycles = ticks;
         run.drain_cycles = 3;
         st.cycles += ticks + 3;
       } else {
+        // Stall mode retires before the next issue: no overshoot, and
+        // the run ends exactly as the n-th sample commits.
         st.cycles += 4 * ticks;
         st.stall_cycles += 3 * ticks;
         run.issue_cycles = ticks;
@@ -1108,10 +1170,12 @@ void LaneEngine::run_group(const std::vector<std::size_t>& lanes_to_run,
         st.cycles += ticks + 3;
         run.drain_cycles = 3;
       } else {
+        // One issue per 4 cycles; the final iteration's trailing cycles
+        // are drain ticks, which do not count as stalls.
         st.cycles += 4 * ticks;
         st.stall_cycles += 3 * (ticks - 1);
         run.stall_cycles = 3 * (ticks - 1);
-        run.drain_cycles = 3;
+        run.drain_cycles = 3;  // 4n == n issue + 3(n-1) stall + 3 drain
       }
     }
     if (telemetry_[lane] != nullptr) telemetry_[lane]->on_run(run);
@@ -1153,7 +1217,8 @@ fixed::raw_t LaneEngine::q2_raw(std::size_t lane, StateId s,
   return q2_[lane][map_[lane].q_addr(s, a)];
 }
 
-// Host-side readback, identical to FastEngine's.
+// Host-side readback, identical to Pipeline's (nothing feeds back into
+// the replay).
 // qtlint: push-allow(datapath-purity)
 double LaneEngine::q_value(std::size_t lane, StateId s, ActionId a) const {
   if (config_[lane].algorithm == Algorithm::kDoubleQ) {
@@ -1203,7 +1268,8 @@ void LaneEngine::rebuild_qmax(std::size_t lane) {
   for (StateId s = 0; s < image_[lane]->num_states; ++s) {
     fixed::raw_t value;
     ActionId action;
-    exact_row_max(lane, q_[lane], s, value, action);
+    row_max_ptr(q_[lane].data(), map_[lane].q_addr(s, 0),
+                image_[lane]->num_actions, value, action);
     if (value < 0) {
       value = 0;
       action = 0;

@@ -1,30 +1,54 @@
-// Lane-batched fast backend: N independent FastEngine replicas advanced
-// one iteration per round, laid out structure-of-arrays so the round
-// loop vectorizes across lanes.
+// The functional replay engine: bit-exact replay of the accelerator
+// without the cycle-accurate machinery, for one pipeline or for N
+// independent pipelines advanced in lockstep.
 //
-// QTAccel's throughput story is many independent pipelines in lockstep;
-// FastEngine replays one pipeline at a time, so its per-sample cost is
-// one long dependency chain (LFSR draw -> address -> table read -> three
-// DSP products -> write-back) that leaves most of a wide host core idle.
-// LaneEngine advances N lanes per round instead: per-lane LFSR state,
-// walk state, forwarding rings, and episode control live in flat
-// per-lane arrays, the scalar passes interleave N independent dependency
-// chains (ILP), and the stage-3 fixed-point kernel (three DSP products
-// plus the saturating adder tree) runs as one SIMD loop across lanes —
-// an autovectorizable portable loop plus explicit AVX2/NEON paths picked
-// at runtime (common/simd.h).
+// LaneEngine executes the accelerator's exact semantics — the same LFSR
+// draw sequences, the same fixed-point DSP operation order and
+// saturation, the same monotone-Qmax approximation, the same episode
+// control — straight against flat arrays: no SimKernel, no per-cycle
+// Bram port accounting, no pipeline latches. Each lane is one pipeline.
+// Per-lane LFSR state, walk state, forwarding rings and episode control
+// live in flat per-lane arrays; one iteration of one lane is four pass
+// functions (pass_addr, pass_next, pass_read, pass_retire) around the
+// stage-3 fixed-point kernel, and those passes are the only place the
+// iteration's semantics are written down.
 //
-// Fidelity: every lane retires the exact FastEngine sequence — the same
-// LFSR draw order, fixed-point rounding/saturation, monotone-Qmax raise
-// rule, episode control, analytic PipelineStats reconstruction, and
-// telemetry events. Lanes never interact; a lane's trace, tables, stats,
-// and MachineState are bit-identical to a FastEngine run of the same
-// (env, config). tests/lane_engine_test.cpp proves it differentially.
+// Two schedules drive the passes; the number of live lanes at run entry
+// picks one:
+//   solo  — one live lane: the passes run back to back, the stage-3
+//           arithmetic is inlined, and s_next's rows are prefetched a
+//           full iteration ahead (a one-lane run has nothing to overlap
+//           its misses with but its own next iteration);
+//   group — N live lanes: each pass runs across every live lane before
+//           the next starts, so N independent miss chains overlap, and
+//           the stage-3 kernel runs as one SIMD loop across lanes — an
+//           autovectorizable portable loop plus explicit AVX2/NEON
+//           paths picked at runtime (common/simd.h). This is the
+//           software analogue of the paper's replicated pipelines.
+//
+// Fidelity: the retired SampleTrace sequence, the final Q/Qmax tables,
+// the RNG registers and the PipelineStats are bit-identical to both
+// GoldenModel and Pipeline on either schedule; lanes never interact.
+// PipelineStats is reconstructed analytically instead of simulated:
+//   cycles        = issue ticks + drain (forward: iterations + pipeline
+//                   depth - 1; stall: 4 per iteration),
+//   fwd_q_sa/next = recomputed from the dependency distance between
+//                   consecutive updates (a 3-deep ring of write-back
+//                   addresses mirrors the forwarding queue),
+//   fwd_qmax      = recomputed from the qmax raises of the two preceding
+//                   iterations (the only in-flight raises a stage-2 read
+//                   can observe ahead of BRAM commit).
+// tests/fast_engine_test.cpp checks the solo schedule against Pipeline
+// and GoldenModel; tests/lane_engine_test.cpp checks groups against solo
+// engines. docs/fast_engine.md carries the fidelity matrix and says when
+// the cycle-accurate backend is mandatory.
 //
 // Lanes may differ in environment, seed, rates, and formats; they must
 // agree on (algorithm, qmax, hazard) — the template parameters of the
-// round loop (see compatible()). runtime/lane_coalescer.h groups
-// sessions accordingly and donates state in and out in O(1).
+// passes (see compatible()). runtime/lane_coalescer.h groups sessions
+// accordingly and donates state in and out in O(1). Backend selection
+// lives one layer up: runtime::Engine builds a Pipeline or a one-lane
+// LaneEngine per config.backend.
 #pragma once
 
 #include <array>
@@ -39,7 +63,7 @@
 #include "qtaccel/pipeline.h"  // PipelineStats, SampleTrace
 
 namespace qta::env {
-class GridWorld;  // devirtualized fast path, as in FastEngine
+class GridWorld;  // devirtualized transitions (EnvImage::grid)
 }  // namespace qta::env
 
 namespace qta::qtaccel {
@@ -52,6 +76,16 @@ class LaneEngine {
   /// shared: a lane constructed from a donor engine reuses the donor's
   /// image instead of re-baking per batch. The image borrows `env`; the
   /// environment must outlive every engine holding the image.
+  ///
+  /// Bake rule: deterministic environments other than GridWorld (whose
+  /// transition inlines) get the `sa` record table, up to a bound set by
+  /// config.backend; past it the engine calls the environment. A
+  /// Backend::kFast image stops at 2^16 pairs (1 MiB, cache-resident):
+  /// every engine bakes its own image, so a larger table would cost
+  /// 16 B per pair per engine (four 2^23-pair learners: 512 MiB more).
+  /// Every other image bakes up to 2^24 pairs (256 MiB), because a
+  /// group's pass_addr prefetches the record a phase ahead of use and
+  /// the group shares its donors' images.
   struct EnvImage {
     /// Interleaved per-{s,a} record: the reward and the pre-baked next
     /// state live on the same cache line (and the same TLB page), so a
@@ -79,7 +113,7 @@ class LaneEngine {
     std::vector<SaRecord> sa;  // empty => compute transitions
   };
   static std::shared_ptr<const EnvImage> build_env_image(
-      const env::Environment& env, fixed::Format q_fmt);
+      const env::Environment& env, const PipelineConfig& config);
 
   struct LaneSpec {
     const env::Environment* env = nullptr;
@@ -92,7 +126,8 @@ class LaneEngine {
     bool defer_tables = false;
   };
 
-  /// Single-lane engine (the kLanes backend adapter): lane 0 only.
+  /// Single-lane engine (the kFast and kLanes backend adapter): lane 0
+  /// only, so every run takes the solo schedule.
   LaneEngine(const env::Environment& env, const PipelineConfig& config);
   /// Lane group; aborts unless every lane is compatible() with lane 0.
   explicit LaneEngine(const std::vector<LaneSpec>& lanes);
@@ -105,13 +140,14 @@ class LaneEngine {
   std::size_t num_lanes() const { return lanes_; }
 
   /// Advances every lane to its own absolute sample target (the
-  /// FastEngine::run_samples contract per lane, including the forward-
-  /// mode drain overshoot). Lanes already at target do not tick.
+  /// Pipeline::run_samples contract per lane, including the forward-
+  /// mode drain overshoot: exactly 3 extra iterations retire). Lanes
+  /// already at target do not tick.
   void run_samples_all(const std::vector<std::uint64_t>& targets);
   /// Runs exactly counts[lane] iterations per lane (bubbles included).
   void run_iterations_all(const std::vector<std::uint64_t>& counts);
 
-  // Single-lane surface, mirroring FastEngine with a lane index.
+  // Single-lane runs, with the same contracts.
   void run_iterations(std::size_t lane, std::uint64_t n);
   void run_samples(std::size_t lane, std::uint64_t n);
 
@@ -133,7 +169,7 @@ class LaneEngine {
 
   fixed::raw_t q_raw(std::size_t lane, StateId s, ActionId a) const;
   fixed::raw_t q2_raw(std::size_t lane, StateId s, ActionId a) const;
-  // Host-side readback boundary, as in FastEngine.
+  // Host-side readback boundary (nothing feeds back into the replay).
   // qtlint: push-allow(datapath-purity)
   double q_value(std::size_t lane, StateId s, ActionId a) const;
   std::vector<double> q_as_double(std::size_t lane) const;
@@ -149,8 +185,8 @@ class LaneEngine {
     return d[0] + d[1] + d[2];
   }
 
-  /// Per-lane machine state, field-for-field FastEngine/Pipeline
-  /// compatible: states move freely between backends.
+  /// Per-lane machine state, field-for-field Pipeline compatible:
+  /// states move freely between backends.
   MachineState save_state(std::size_t lane) const;
   void load_state(std::size_t lane, const MachineState& ms);
   /// Donation: moves the lane's tables out (the lane is not runnable
@@ -202,11 +238,16 @@ class LaneEngine {
   using KernelFn = void (*)(const KernelArgs&);
 
  private:
-  // Qmax raise window, as in FastEngine (telemetry-order comments there).
+  // Qmax raises of the two preceding iterations: at stage 2 of iteration
+  // i the Qmax BRAM has committed raises through iteration i-3, so the
+  // forwarding network is what surfaces raises from i-1 and i-2 (older
+  // queue entries are already committed and can never strictly raise).
   struct RaiseEvent {
     StateId state = kInvalidState;
     bool raised = false;
   };
+  // Empty write-back ring slot. AddressMap addresses use at most
+  // state_bits + action_bits + 1 bits, so ~0 never collides.
   static constexpr std::uint64_t kNoAddr = ~std::uint64_t{0};
 
   /// Per-lane run control while a group run is in flight.
@@ -218,10 +259,10 @@ class LaneEngine {
 
   /// Dense per-lane execution record, materialized from the member
   /// arrays at run_group entry and committed back at exit. The issue and
-  /// retire passes run entirely off one of these (a single base pointer,
-  /// like FastEngine's `this`) — going through the per-lane member
-  /// vectors on every access costs a second dependent load per field,
-  /// which at ~60 fields per iteration dwarfs the update itself.
+  /// retire passes run entirely off one of these (a single base
+  /// pointer) — going through the per-lane member vectors on every
+  /// access costs a second dependent load per field, which at ~60
+  /// fields per iteration dwarfs the update itself.
   struct Hot {
     explicit Hot(const RngBank& r) : rng(r) {}
 
@@ -311,8 +352,13 @@ class LaneEngine {
   void pass_read(Hot& L, std::size_t slot);
   template <Algorithm kAlgo, bool kMono, bool kTel>
   void pass_retire(Hot& L, std::size_t slot);
+  /// The solo schedule: `lane` alone, passes back to back.
+  template <Algorithm kAlgo, bool kMono, bool kCountFwd, bool kTel>
+  void run_solo(std::size_t lane);
+  /// The group schedule: one phased round per iteration over `live`.
   template <Algorithm kAlgo, bool kMono, bool kCountFwd, bool kTel>
   void run_rounds(std::vector<std::size_t>& live);
+  /// Picks the schedule from live.size() and kTel from the sinks.
   template <Algorithm kAlgo, bool kMono, bool kCountFwd>
   void run_rounds_any(std::vector<std::size_t>& live);
   template <Algorithm kAlgo>
@@ -324,10 +370,10 @@ class LaneEngine {
                  const std::vector<std::uint64_t>& values,
                  bool samples_mode);
   void pack_params(const std::vector<std::size_t>& live);
+  /// Run control after one of the lane's iterations; true once the lane
+  /// is done for this run.
+  static bool lane_done(RunCtl& ctl, std::uint64_t samples, bool forward);
 
-  void exact_row_max(std::size_t lane,
-                     const std::vector<fixed::raw_t>& table, StateId s,
-                     fixed::raw_t& value, ActionId& action) const;
   static StateId hot_next_state(Hot& L, StateId s, ActionId a);
 
   static bool hot_wb_hit(const Hot& L, std::uint64_t tagged) {

@@ -3,16 +3,17 @@
 //
 // A QrlBackend is one accelerator instance — the paper's machine —
 // executed by either the cycle-accurate pipeline (qtaccel/pipeline.h) or
-// the fast functional engine (qtaccel/fast_engine.h). Both retire
-// bit-identical traces and tables; they differ in what the host pays per
-// sample and in which observation surfaces exist (waveforms, per-cycle
-// telemetry, port auditing). Capability flags expose that difference so
-// callers probe instead of assuming a backend.
+// a one-lane functional replay engine (qtaccel/lane_engine.h; the kFast
+// and kLanes kinds). Both retire bit-identical traces and tables; they
+// differ in what the host pays per sample and in which observation
+// surfaces exist (waveforms, per-cycle telemetry, port auditing, lane
+// groups). Capability flags expose that difference so callers probe
+// instead of assuming a backend.
 //
 // Layering rule (enforced by qtlint's layering DAG): runtime/
 // includes qtaccel/, never the reverse. Everything above the datapath —
 // driver, tools, examples, benches — talks to QrlBackend or the Engine
-// facade (runtime/engine.h), not to Pipeline/FastEngine directly.
+// facade (runtime/engine.h), not to Pipeline/LaneEngine directly.
 #pragma once
 
 #include <cstdint>
@@ -36,12 +37,13 @@ namespace qta::runtime {
 /// flags only gate observation surfaces.
 struct BackendCaps {
   bool waveforms = false;     // textual per-cycle waveform (set_waveform)
-  bool cycle_events = false;  // telemetry CycleEvents (fast backend emits
-                              // StepEvents/RunEvents instead)
+  bool cycle_events = false;  // telemetry CycleEvents (the functional
+                              // kinds emit StepEvents/RunEvents instead)
   bool port_audit = false;    // per-cycle Bram port/conflict accounting
   bool single_cycle_step = false;  // tick()-level stepping (driver CSR run)
   bool lane_batched = false;  // state can migrate into a lane group
-                              // (runtime/lane_coalescer.h) and back, O(1)
+                              // (runtime/lane_coalescer.h) and back, O(1);
+                              // kLanes only — kFast engines run alone
   bool dirty_rows = false;    // tracks rows written since the last
                               // reset_dirty_rows() epoch
                               // (qtaccel/machine_state.h DirtyRows), so
@@ -117,9 +119,10 @@ class QrlBackend {
   }
 
   /// The (single-lane) lane engine when this backend wraps one, else
-  /// nullptr. Check caps().lane_batched (or null-test) instead of
-  /// assuming — the coalescer uses this to donate state into a lane
-  /// group (take_state/put_state) without copying tables.
+  /// nullptr. Non-null for both functional kinds; only
+  /// caps().lane_batched says whether it may join a group — the
+  /// coalescer uses this to donate state into a lane group
+  /// (take_state/put_state) without copying tables.
   virtual qtaccel::LaneEngine* lane_engine() { return nullptr; }
   const qtaccel::LaneEngine* lane_engine() const {
     return const_cast<QrlBackend*>(this)->lane_engine();

@@ -6,7 +6,6 @@
 #include "common/annotations.h"
 #include "common/check.h"
 #include "common/mutex.h"
-#include "qtaccel/fast_engine.h"
 #include "qtaccel/lane_engine.h"
 #include "qtaccel/pipeline.h"
 
@@ -14,9 +13,9 @@ namespace qta::runtime {
 
 namespace {
 
-// The three in-tree adapters. These are the ONLY places outside unit
-// tests where Pipeline/FastEngine/LaneEngine are constructed (the qtlint
-// layering rule keeps it that way).
+// The two in-tree adapters. These are the ONLY places outside unit
+// tests where Pipeline/LaneEngine are constructed (the qtlint layering
+// rule keeps it that way).
 
 class PipelineBackend final : public QrlBackend {
  public:
@@ -104,99 +103,24 @@ class PipelineBackend final : public QrlBackend {
   qtaccel::Pipeline pipe_;
 };
 
-class FastEngineBackend final : public QrlBackend {
- public:
-  FastEngineBackend(const env::Environment& env,
-                    const qtaccel::PipelineConfig& config)
-      : fast_(env, config) {}
-
-  qtaccel::Backend kind() const override { return qtaccel::Backend::kFast; }
-  BackendCaps caps() const override {
-    BackendCaps c;
-    c.dirty_rows = true;
-    return c;
-  }
-
-  void run_iterations(std::uint64_t n) override { fast_.run_iterations(n); }
-  void run_samples(std::uint64_t n) override { fast_.run_samples(n); }
-
-  const qtaccel::PipelineStats& stats() const override {
-    return fast_.stats();
-  }
-  void set_trace(std::vector<qtaccel::SampleTrace>* trace) override {
-    fast_.set_trace(trace);
-  }
-  void set_telemetry(telemetry::TelemetrySink* sink) override {
-    fast_.set_telemetry(sink);
-  }
-
-  fixed::raw_t q_raw(StateId s, ActionId a) const override {
-    return fast_.q_raw(s, a);
-  }
-  double q_value(StateId s, ActionId a) const override {
-    return fast_.q_value(s, a);
-  }
-  fixed::raw_t q2_raw(StateId s, ActionId a) const override {
-    return fast_.q2_raw(s, a);
-  }
-  std::vector<double> q_as_double() const override {
-    return fast_.q_as_double();
-  }
-  std::vector<ActionId> greedy_policy() const override {
-    return fast_.greedy_policy();
-  }
-  qtaccel::QmaxUnit::Entry qmax_entry(StateId s) const override {
-    return fast_.qmax_entry(s);
-  }
-
-  void preset_q(StateId s, ActionId a, fixed::raw_t value) override {
-    fast_.preset_q(s, a, value);
-  }
-  void rebuild_qmax() override { fast_.rebuild_qmax(); }
-  std::uint64_t dsp_saturations() const override {
-    return fast_.dsp_saturations();
-  }
-
-  qtaccel::MachineState save_state() const override {
-    return fast_.save_state();
-  }
-  void load_state(const qtaccel::MachineState& ms) override {
-    fast_.load_state(ms);
-  }
-  void reset_dirty_rows() override { fast_.reset_dirty_rows(); }
-  std::uint64_t dirty_row_count() const override {
-    return fast_.dirty_row_count();
-  }
-
-  const env::Environment& environment() const override {
-    return fast_.environment();
-  }
-  const qtaccel::PipelineConfig& config() const override {
-    return fast_.config();
-  }
-  const qtaccel::AddressMap& address_map() const override {
-    return fast_.address_map();
-  }
-
- private:
-  qtaccel::FastEngine fast_;
-};
-
-// A one-lane LaneEngine behind the standard backend surface. Runs the
-// same bit-exact semantics as FastEngine; what the kind buys is the
-// lane_batched capability — the coalescer (runtime/lane_coalescer.h)
-// can move this session's state into a multi-lane group and back in
-// O(1), so batches of same-shape sessions advance together.
+// A one-lane LaneEngine behind the standard backend surface, for both
+// functional kinds (config.backend is kFast or kLanes). Alone, the
+// engine always runs the solo schedule. The kinds differ in two ways
+// only: what the environment image bakes (LaneEngine::EnvImage), and
+// the lane_batched capability — a kLanes engine's state can move into
+// a multi-lane group and back in O(1) (runtime/lane_coalescer.h), so
+// batches of same-shape sessions advance together; a kFast engine
+// never joins a group.
 class LaneEngineBackend final : public QrlBackend {
  public:
   LaneEngineBackend(const env::Environment& env,
                     const qtaccel::PipelineConfig& config)
       : lanes_(env, config) {}
 
-  qtaccel::Backend kind() const override { return qtaccel::Backend::kLanes; }
+  qtaccel::Backend kind() const override { return lanes_.config(0).backend; }
   BackendCaps caps() const override {
     BackendCaps c;
-    c.lane_batched = true;
+    c.lane_batched = kind() == qtaccel::Backend::kLanes;
     c.dirty_rows = true;
     return c;
   }
@@ -275,11 +199,6 @@ std::unique_ptr<QrlBackend> make_pipeline_backend(
   return std::make_unique<PipelineBackend>(env, config);
 }
 
-std::unique_ptr<QrlBackend> make_fast_backend(
-    const env::Environment& env, const qtaccel::PipelineConfig& config) {
-  return std::make_unique<FastEngineBackend>(env, config);
-}
-
 std::unique_ptr<QrlBackend> make_lane_backend(
     const env::Environment& env, const qtaccel::PipelineConfig& config) {
   return std::make_unique<LaneEngineBackend>(env, config);
@@ -314,7 +233,7 @@ void ensure_builtins() {
     const qta::MutexLock lock(r.mu);
     r.factories[slot(qtaccel::Backend::kCycleAccurate)] =
         &make_pipeline_backend;
-    r.factories[slot(qtaccel::Backend::kFast)] = &make_fast_backend;
+    r.factories[slot(qtaccel::Backend::kFast)] = &make_lane_backend;
     r.factories[slot(qtaccel::Backend::kLanes)] = &make_lane_backend;
   });
 }

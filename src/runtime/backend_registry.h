@@ -1,8 +1,9 @@
 // Backend registry: config.backend -> QrlBackend factory.
 //
-// Replaces the old if/else inside the Engine facade. The two built-in
-// backends (cycle-accurate Pipeline, fast FastEngine) self-register on
-// first use; register_backend exists so an out-of-tree backend (an RTL
+// Replaces the old if/else inside the Engine facade. The built-in
+// backends (cycle-accurate Pipeline; a one-lane LaneEngine for kFast and
+// kLanes) self-register on first use; register_backend exists so an
+// out-of-tree backend (an RTL
 // cosimulation bridge, a hardware device proxy) can slot in behind the
 // same runtime surface without touching this layer.
 #pragma once

@@ -105,7 +105,8 @@ class Engine {
   }
 
   /// The lane engine, or nullptr on backends without one (see
-  /// runtime/lane_coalescer.h for the only intended caller).
+  /// runtime/lane_coalescer.h for the only intended caller; whether it
+  /// may join a group is caps().lane_batched).
   qtaccel::LaneEngine* lane_engine() { return backend_->lane_engine(); }
   const qtaccel::LaneEngine* lane_engine() const {
     return backend_->lane_engine();

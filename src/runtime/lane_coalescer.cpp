@@ -11,7 +11,7 @@
 namespace qta::runtime {
 
 bool is_lane_backend(const Engine& engine) {
-  return engine.lane_engine() != nullptr;
+  return engine.caps().lane_batched;
 }
 
 bool can_coalesce(const Engine& a, const Engine& b) {
@@ -27,9 +27,9 @@ LaneGroupRunner::LaneGroupRunner(std::vector<Engine*> engines)
   specs.reserve(engines_.size());
   states.reserve(engines_.size());
   for (Engine* e : engines_) {
-    qtaccel::LaneEngine* donor = e->lane_engine();
-    QTA_CHECK_MSG(donor != nullptr,
+    QTA_CHECK_MSG(is_lane_backend(*e),
                   "lane coalescing requires the lanes backend");
+    qtaccel::LaneEngine* donor = e->lane_engine();
     QTA_CHECK_MSG(
         qtaccel::LaneEngine::compatible(engines_[0]->config(), e->config()),
         "lane group members must agree on (algorithm, qmax, hazard)");

@@ -1,18 +1,20 @@
 // Lane coalescing: run many same-shape sessions as one LaneEngine group.
 //
-// The lanes backend (qtaccel/lane_engine.h) advances N independent
-// pipelines per round, but a runtime::Engine built with Backend::kLanes
-// holds a one-lane group — each session is its own engine, as the
+// The functional engine (qtaccel/lane_engine.h) advances N independent
+// pipelines per round on its group schedule, but a runtime::Engine
+// holds a one-lane engine — each session is its own engine, as the
 // serving and fleet layers require for eviction, snapshots, and
 // per-session telemetry. This header is the bridge: LaneGroupRunner
-// takes a batch of lane-backed engines, migrates every engine's machine
-// state into one multi-lane group (take_state/put_state — vector moves,
-// no table copies), runs the group, and donates the states back on
-// destruction. The engines are sequestered while the runner lives
-// (their tables are moved out); everything about them is restored —
-// stats, rings, RNG registers, tables — so the detour through the group
-// is bit-invisible: each session ends exactly where a solo FastEngine
-// run would have left it.
+// takes a batch of lane-backed (Backend::kLanes) engines, migrates every
+// engine's machine state into one multi-lane group
+// (take_state/put_state — vector moves, no table copies), runs the
+// group, and donates the states back on destruction. The engines are
+// sequestered while the runner lives (their tables are moved out);
+// everything about them is restored — stats, rings, RNG registers,
+// tables — so the detour through the group is bit-invisible: each
+// session ends exactly where a run of its own engine on the solo
+// schedule would have left it. Backend::kFast engines run the same
+// engine but never join a group.
 //
 // Callers: IndependentPipelines::run_samples_each coalesces its whole
 // fleet when the config picks the lanes backend, and the qtserved batch
@@ -34,8 +36,8 @@ class TraceSession;
 
 namespace qta::runtime {
 
-/// True when `engine` runs the lanes backend (its state can migrate
-/// into a lane group in O(1)).
+/// True when `engine` runs the lanes backend (caps().lane_batched: its
+/// state can migrate into a lane group in O(1)).
 bool is_lane_backend(const Engine& engine);
 
 /// True when `a` and `b` may share one lane group: both lane-backed and

@@ -12,12 +12,14 @@
 //                the cycle-attribution class (issue / forward-serviced /
 //                stall / drain), stage occupancy, and the hazard activity
 //                of that cycle.
-//   StepEvent  — FastEngine: one event per replayed iteration (the fast
-//                backend has no cycle loop; its per-iteration facts are
-//                the issue-slot view of the same run).
-//   RunEvent   — FastEngine: one event per run_* call with the analytic
-//                cycle roll-up (issue/stall/drain), so cycle attribution
-//                totals agree with the reconstructed PipelineStats.
+//   StepEvent  — functional LaneEngine: one event per replayed iteration
+//                of a lane (the functional backends have no cycle loop;
+//                their per-iteration facts are the issue-slot view of
+//                the same run).
+//   RunEvent   — functional LaneEngine: one event per lane per run_*
+//                call with the analytic cycle roll-up (issue/stall/
+//                drain), so cycle attribution totals agree with the
+//                reconstructed PipelineStats.
 #pragma once
 
 #include <cstdint>
@@ -79,9 +81,9 @@ struct StepEvent {
   bool qmax_raised = false;
 };
 
-/// Analytic cycle attribution of one FastEngine run_* call. The sums
-/// agree with the PipelineStats reconstruction: issue + stall + drain ==
-/// the cycles added by the call.
+/// Analytic cycle attribution of one LaneEngine run_* call, per lane.
+/// The sums agree with the PipelineStats reconstruction: issue + stall +
+/// drain == the cycles added by the call.
 struct RunEvent {
   std::uint64_t issue_cycles = 0;
   std::uint64_t stall_cycles = 0;

@@ -1,10 +1,13 @@
-// Differential verification of the fast functional backend: FastEngine
-// must retire a bit-identical SampleTrace, final Q/Qmax tables, AND a
-// bit-identical PipelineStats against both the cycle-accurate Pipeline
-// and the sequential GoldenModel, for every algorithm, qmax mode, and
-// hazard mode — the stats are reconstructed analytically, so every
-// counter (cycles, stalls, per-path forwarding hits, saturations) is a
-// falsifiable claim about the derivation, not just the arithmetic.
+// Differential verification of the fast functional backend: a
+// runtime::Engine with Backend::kFast (a one-lane LaneEngine, so every
+// run takes the solo schedule) must retire a bit-identical SampleTrace,
+// final Q/Qmax tables, AND a bit-identical PipelineStats against both
+// the cycle-accurate Pipeline and the sequential GoldenModel, for every
+// algorithm, qmax mode, and hazard mode — the stats are reconstructed
+// analytically, so every counter (cycles, stalls, per-path forwarding
+// hits, saturations) is a falsifiable claim about the derivation, not
+// just the arithmetic. tests/lane_engine_test.cpp checks the group
+// schedule against this one.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -13,7 +16,6 @@
 
 #include "env/grid_world.h"
 #include "env/random_mdp.h"
-#include "qtaccel/fast_engine.h"
 #include "qtaccel/golden_model.h"
 #include "qtaccel/pipeline.h"
 #include "runtime/engine.h"
@@ -148,6 +150,7 @@ PipelineConfig make_config(const FastCase& c) {
   config.epsilon = 0.1;
   config.seed = c.seed;
   config.max_episode_length = 64;  // exercise the watchdog path too
+  config.backend = Backend::kFast;  // Pipeline and GoldenModel ignore it
   return config;
 }
 
@@ -167,7 +170,8 @@ void expect_same_stats(const PipelineStats& want,
 }
 
 void expect_same_tables(const env::Environment& env, const FastCase& c,
-                        const Pipeline& pipeline, const FastEngine& fast) {
+                        const Pipeline& pipeline,
+                        const runtime::Engine& fast) {
   for (StateId s = 0; s < env.num_states(); ++s) {
     for (ActionId a = 0; a < env.num_actions(); ++a) {
       ASSERT_EQ(pipeline.q_raw(s, a), fast.q_raw(s, a))
@@ -208,7 +212,7 @@ TEST_P(FastEngineTest, IterationsMatchPipelineAndGolden) {
   std::vector<SampleTrace> pipe_trace;
   pipeline.set_trace(&pipe_trace);
 
-  FastEngine fast(*environment, config);
+  runtime::Engine fast(*environment, config);
   std::vector<SampleTrace> fast_trace;
   fast.set_trace(&fast_trace);
 
@@ -253,7 +257,7 @@ TEST_P(FastEngineTest, SamplesMatchPipeline) {
   std::vector<SampleTrace> pipe_trace;
   pipeline.set_trace(&pipe_trace);
 
-  FastEngine fast(*environment, config);
+  runtime::Engine fast(*environment, config);
   std::vector<SampleTrace> fast_trace;
   fast.set_trace(&fast_trace);
 
@@ -282,9 +286,10 @@ TEST(FastEngineWarmStart, PresetAndRebuildMatchPipeline) {
   PipelineConfig config;
   config.algorithm = Algorithm::kQLearning;
   config.seed = 21;
+  config.backend = Backend::kFast;
 
   Pipeline pipeline(*environment, config);
-  FastEngine fast(*environment, config);
+  runtime::Engine fast(*environment, config);
   for (StateId s = 0; s < environment->num_states(); ++s) {
     const fixed::raw_t v =
         fixed::from_double(0.01 * static_cast<double>(s % 17) - 0.05,
@@ -353,6 +358,14 @@ TEST(EngineFacade, CapabilityFlagsAndNullableCyclePipeline) {
   EXPECT_FALSE(fast.backend().has_port_audit());
   EXPECT_FALSE(fast.backend().has_single_cycle_step());
   EXPECT_EQ(fast.cycle_pipeline(), nullptr);
+  // The same engine as kLanes, but it never joins a lane group.
+  EXPECT_FALSE(fast.caps().lane_batched);
+  EXPECT_TRUE(fast.caps().dirty_rows);
+
+  config.backend = Backend::kLanes;
+  runtime::Engine lanes(*environment, config);
+  EXPECT_TRUE(lanes.caps().lane_batched);
+  EXPECT_EQ(lanes.cycle_pipeline(), nullptr);
 }
 
 TEST(BackendParsing, RoundTripsAndRejectsJunk) {

@@ -1,11 +1,16 @@
-// Differential verification of the lane-batched backend: a LaneEngine
-// lane must retire a bit-identical SampleTrace, Q/Qmax tables, RNG
-// registers, AND PipelineStats against a solo FastEngine with the same
-// config — for every (algorithm, qmax mode, hazard mode) shape, for
-// mixed-shape lane groups, across mid-run save/load, and through the
-// take_state/put_state donation protocol the runtime's lane coalescer
-// uses. The runtime-level coalescing itself (Engine fleets and
-// LaneGroupRunner round trips) is covered at the bottom.
+// Differential verification of LaneEngine's group schedule: a lane of a
+// multi-lane group must retire a bit-identical SampleTrace, Q/Qmax
+// tables, RNG registers, AND PipelineStats against a solo engine with
+// the same config — a one-lane LaneEngine built as the kFast backend
+// builds it, whose runs take the solo schedule (tests/fast_engine_test.cpp
+// checks that one against Pipeline and GoldenModel). Covered: every
+// (algorithm, qmax mode, hazard mode) shape, obstacle grids, the
+// slippery grid's LFSR transition noise, the hazard-dense ring and
+// self-loop MDPs, a RandomMdp past the kFast bake bound, mixed-shape
+// lane groups, mid-run save/load, and the take_state/put_state donation
+// protocol the runtime's lane coalescer uses. The runtime-level
+// coalescing itself (Engine fleets and LaneGroupRunner round trips) is
+// covered at the bottom.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,7 +20,6 @@
 
 #include "env/grid_world.h"
 #include "env/random_mdp.h"
-#include "qtaccel/fast_engine.h"
 #include "qtaccel/lane_engine.h"
 #include "qtaccel/machine_state.h"
 #include "runtime/engine.h"
@@ -88,35 +92,71 @@ constexpr ConfigShape kShapes[] = {
      "dq_stall"},
 };
 
+// The solo reference's config: a one-lane engine of the kFast kind.
+PipelineConfig as_fast(PipelineConfig cfg) {
+  cfg.backend = Backend::kFast;
+  return cfg;
+}
+
 // Mixed run shapes (samples target, iteration count, samples again) so
 // per-call drain/refill accounting is exercised, not just one long run.
-void check_lane_vs_fast(const env::Environment& env, PipelineConfig cfg,
-                        const std::string& tag) {
-  FastEngine fast(env, cfg);
-  LaneEngine lane(env, cfg);
-  std::vector<SampleTrace> fast_trace, lane_trace;
-  fast.set_trace(&fast_trace);
-  lane.set_trace(0, &lane_trace);
-
-  fast.run_samples(5000);
-  lane.run_samples(0, 5000);
-  fast.run_iterations(777);
-  lane.run_iterations(0, 777);
-  fast.run_samples(fast.stats().samples + 3000);
-  lane.run_samples(0, lane.stats(0).samples + 3000);
-
-  ASSERT_EQ(fast_trace.size(), lane_trace.size()) << tag;
-  for (std::size_t i = 0; i < fast_trace.size(); ++i) {
-    ASSERT_TRUE(fast_trace[i] == lane_trace[i])
-        << tag << ": trace diverges at sample " << i;
+// The lane under test is lane 0 of a two-lane group whose other lane
+// (the next seed) always has the larger target, so lane 0 runs on the
+// group schedule from entry until it finishes. Both lanes must match
+// their solo engines.
+void check_group_vs_solo(const env::Environment& env, PipelineConfig cfg,
+                         const std::string& tag) {
+  std::vector<LaneEngine::LaneSpec> specs(2);
+  for (std::size_t i = 0; i < 2; ++i) {
+    specs[i].env = &env;
+    specs[i].config = cfg;
+    specs[i].config.seed = cfg.seed + i;
   }
-  EXPECT_TRUE(stats_eq(fast.stats(), lane.stats(0))) << tag;
-  expect_state_eq(fast.save_state(), lane.save_state(0), tag);
+  LaneEngine group(specs);
+  std::vector<std::unique_ptr<LaneEngine>> solos;
+  std::vector<std::vector<SampleTrace>> solo_traces(2), lane_traces(2);
+  for (std::size_t i = 0; i < 2; ++i) {
+    solos.push_back(
+        std::make_unique<LaneEngine>(env, as_fast(specs[i].config)));
+    solos[i]->set_trace(0, &solo_traces[i]);
+    group.set_trace(i, &lane_traces[i]);
+  }
+
+  group.run_samples_all({5000, 6000});
+  group.run_iterations_all({777, 1777});
+  group.run_samples_all({group.stats(0).samples + 3000,
+                         group.stats(1).samples + 4000});
+  const std::uint64_t first[] = {5000, 6000};
+  const std::uint64_t iterations[] = {777, 1777};
+  const std::uint64_t last[] = {3000, 4000};
+  for (std::size_t i = 0; i < 2; ++i) {
+    LaneEngine& solo = *solos[i];
+    solo.run_samples(0, first[i]);
+    solo.run_iterations(0, iterations[i]);
+    solo.run_samples(0, solo.stats(0).samples + last[i]);
+
+    const std::string lane_tag = tag + " lane " + std::to_string(i);
+    ASSERT_EQ(solo_traces[i].size(), lane_traces[i].size()) << lane_tag;
+    for (std::size_t k = 0; k < solo_traces[i].size(); ++k) {
+      ASSERT_TRUE(solo_traces[i][k] == lane_traces[i][k])
+          << lane_tag << ": trace diverges at sample " << k;
+    }
+    EXPECT_TRUE(stats_eq(solo.stats(0), group.stats(i))) << lane_tag;
+    expect_state_eq(solo.save_state(0), group.save_state(i), lane_tag);
+  }
 }
 
 TEST(LaneEngineDifferential, MatchesFastEngineForEveryConfigShape) {
   env::GridWorld small(grid_cfg(32, 32, 4));
   env::GridWorld med(grid_cfg(64, 64, 8));
+  // Stochastic transitions: pass_next draws the slip noise from the
+  // lane's own LFSR, between the behavior and epsilon draws.
+  env::GridWorldConfig slip_cfg;
+  slip_cfg.width = 4;
+  slip_cfg.height = 4;
+  slip_cfg.num_actions = 4;
+  slip_cfg.slip_probability = 0.3;
+  env::GridWorld slip(slip_cfg);
   for (const ConfigShape& shape : kShapes) {
     PipelineConfig cfg;
     cfg.algorithm = shape.algo;
@@ -124,12 +164,13 @@ TEST(LaneEngineDifferential, MatchesFastEngineForEveryConfigShape) {
     cfg.hazard = shape.hazard;
     cfg.backend = Backend::kLanes;
     cfg.seed = 42;
-    check_lane_vs_fast(small, cfg, shape.name);
+    check_group_vs_solo(small, cfg, shape.name);
 
     PipelineConfig cfg2 = cfg;
     cfg2.seed = 99;
     cfg2.alpha = 0.5;
-    check_lane_vs_fast(med, cfg2, std::string(shape.name) + "_med");
+    check_group_vs_solo(med, cfg2, std::string(shape.name) + "_med");
+    check_group_vs_solo(slip, cfg, std::string(shape.name) + "_slip");
   }
 }
 
@@ -157,10 +198,53 @@ TEST(LaneEngineDifferential, MatchesFastEngineUnderForwardingPressure) {
     cfg.backend = Backend::kLanes;
     cfg.seed = 5;
     cfg.max_episode_length = 64;
-    check_lane_vs_fast(ring_env, cfg,
-                       std::string(shape.name) + "_ring");
-    check_lane_vs_fast(loop_env, cfg,
-                       std::string(shape.name) + "_selfloop");
+    check_group_vs_solo(ring_env, cfg, std::string(shape.name) + "_ring");
+    check_group_vs_solo(loop_env, cfg,
+                        std::string(shape.name) + "_selfloop");
+  }
+}
+
+// Past 2^16 {s,a} pairs the bake rule splits: a kLanes image carries the
+// interleaved record table (transition, reward and next-terminal in one
+// line), a kFast image calls the environment. Groups, solo kLanes
+// engines and solo kFast engines must still agree bit for bit.
+TEST(LaneEngineDifferential, RecordTableMatchesEnvironmentCalls) {
+  env::RandomMdpConfig mdp;
+  mdp.num_states = StateId{1} << 15;  // 2^17 pairs
+  mdp.num_actions = 4;
+  mdp.seed = 5;
+  mdp.terminal_fraction = 0.05;
+  env::RandomMdp mdp_env(mdp);
+
+  for (const ConfigShape& shape : kShapes) {
+    std::vector<LaneEngine::LaneSpec> specs(3);
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      specs[i].env = &mdp_env;
+      specs[i].config.algorithm = shape.algo;
+      specs[i].config.qmax = shape.qmax;
+      specs[i].config.hazard = shape.hazard;
+      specs[i].config.backend = Backend::kLanes;
+      specs[i].config.seed = 70 + i;
+      specs[i].config.max_episode_length = 256;
+    }
+    LaneEngine group(specs);
+    ASSERT_FALSE(group.env_image(0)->sa.empty()) << shape.name;
+    const std::vector<std::uint64_t> targets = {3000, 5000, 4000};
+    group.run_samples_all(targets);
+
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      const std::string tag =
+          std::string(shape.name) + " lane " + std::to_string(i);
+      LaneEngine solo_fast(mdp_env, as_fast(specs[i].config));
+      ASSERT_TRUE(solo_fast.env_image(0)->sa.empty()) << tag;
+      solo_fast.run_samples(0, targets[i]);
+      expect_state_eq(solo_fast.save_state(0), group.save_state(i), tag);
+
+      LaneEngine solo_lanes(mdp_env, specs[i].config);
+      solo_lanes.run_samples(0, targets[i]);
+      expect_state_eq(solo_fast.save_state(0), solo_lanes.save_state(0),
+                      tag + " (solo records)");
+    }
   }
 }
 
@@ -189,9 +273,9 @@ TEST(LaneEngineDifferential, MixedLaneGroupMatchesSoloFastEngines) {
   group.run_samples_all(targets);
 
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    FastEngine ref(*specs[i].env, specs[i].config);
-    ref.run_samples(targets[i]);
-    expect_state_eq(ref.save_state(), group.save_state(i),
+    LaneEngine ref(*specs[i].env, as_fast(specs[i].config));
+    ref.run_samples(0, targets[i]);
+    expect_state_eq(ref.save_state(0), group.save_state(i),
                     "lane " + std::to_string(i));
   }
 }
@@ -217,10 +301,10 @@ TEST(LaneEngineDifferential, StaggeredTargetsFreezeFinishedLanes) {
   const std::uint64_t first_chunk[] = {2000, 100, 900};
   const std::uint64_t second_chunk[] = {2000, 1800, 1600};
   for (std::size_t i = 0; i < 3; ++i) {
-    FastEngine ref(small, specs[i].config);
-    ref.run_samples(first_chunk[i]);
-    ref.run_samples(second_chunk[i]);
-    expect_state_eq(ref.save_state(), group.save_state(i),
+    LaneEngine ref(small, as_fast(specs[i].config));
+    ref.run_samples(0, first_chunk[i]);
+    ref.run_samples(0, second_chunk[i]);
+    expect_state_eq(ref.save_state(0), group.save_state(i),
                     "staggered lane " + std::to_string(i));
   }
 }
@@ -297,11 +381,11 @@ TEST(LaneEngineState, TakeAndPutStateDonationIsBitInvisible) {
 
   for (std::size_t i = 0; i < singles.size(); ++i) {
     singles[i]->run_samples(0, singles[i]->stats(0).samples + 500);
-    FastEngine solo(small, cfgs[i]);
-    solo.run_samples(1000 + 250 * i);
-    solo.run_samples(solo.stats().samples + 3000);
-    solo.run_samples(solo.stats().samples + 500);
-    expect_state_eq(solo.save_state(), singles[i]->save_state(0),
+    LaneEngine solo(small, as_fast(cfgs[i]));
+    solo.run_samples(0, 1000 + 250 * i);
+    solo.run_samples(0, solo.stats(0).samples + 3000);
+    solo.run_samples(0, solo.stats(0).samples + 500);
+    expect_state_eq(solo.save_state(0), singles[i]->save_state(0),
                     "donated lane " + std::to_string(i));
   }
 }
@@ -375,6 +459,9 @@ TEST(LaneCoalescer, GroupRunnerRoundTripIsBitInvisible) {
 
   ASSERT_TRUE(runtime::is_lane_backend(*members[0]));
   ASSERT_TRUE(runtime::can_coalesce(*members[0], *members[3]));
+  // A kFast engine runs the same engine but never joins a group.
+  ASSERT_FALSE(runtime::is_lane_backend(*solos[0]));
+  ASSERT_FALSE(runtime::can_coalesce(*members[0], *solos[0]));
 
   const std::vector<std::uint64_t> steps = {1000, 2000, 1500, 3000};
   {

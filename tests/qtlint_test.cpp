@@ -25,8 +25,6 @@ TEST(QtlintClassify, PathsMapToScopes) {
   EXPECT_TRUE(classify_path("src/fixed/fixed_point.h").datapath);
   EXPECT_TRUE(classify_path("src/qtaccel/pipeline.cpp").datapath);
   EXPECT_TRUE(classify_path("src/qtaccel/boltzmann_pipeline.cpp").datapath);
-  EXPECT_TRUE(classify_path("src/qtaccel/fast_engine.cpp").datapath);
-  EXPECT_TRUE(classify_path("src/qtaccel/fast_engine.h").datapath);
   EXPECT_TRUE(classify_path("src/qtaccel/lane_engine.cpp").datapath);
   EXPECT_TRUE(classify_path("src/qtaccel/lane_engine.h").datapath);
   EXPECT_TRUE(classify_path("src/common/thread_pool.cpp").datapath);
@@ -51,16 +49,17 @@ TEST(QtlintClassify, RuntimeDriverAndQtaccelScopes) {
   EXPECT_FALSE(classify_path("examples/quickstart.cpp").in_src);
 }
 
-TEST(QtlintDatapathPurity, FastEngineScopeFlagsFloatsOutsideAllowBlocks) {
-  // The turbo engine replays the datapath against flat arrays; a stray
-  // double there would silently diverge from the fixed-point pipeline.
-  const auto bad = lint_content("src/qtaccel/fast_engine.cpp",
+TEST(QtlintDatapathPurity, LaneEngineScopeFlagsFloatsOutsideAllowBlocks) {
+  // The functional engine replays the datapath against flat arrays; a
+  // stray double there would silently diverge from the fixed-point
+  // pipeline.
+  const auto bad = lint_content("src/qtaccel/lane_engine.cpp",
                                 "long f() { double x = 1; return long(x); }\n");
   EXPECT_EQ(count_rule(bad, RuleId::kDatapathPurity), 1u);
   // The sanctioned host-init boundary uses push/pop-allow blocks, exactly
   // as the real file does around reward quantization.
   const auto ok = lint_content(
-      "src/qtaccel/fast_engine.cpp",
+      "src/qtaccel/lane_engine.cpp",
       "// qtlint: push-allow(datapath-purity)\n"
       "long f() { double x = 1; return long(x); }\n"
       "// qtlint: pop-allow(datapath-purity)\n");
@@ -255,7 +254,7 @@ TEST(QtlintTelemetryBoundary, FlagsHostMachineryIncludesInDatapath) {
 
 TEST(QtlintTelemetryBoundary, SinkHeaderIsTheSanctionedInclude) {
   const auto vs = lint_content(
-      "src/qtaccel/fast_engine.h",
+      "src/qtaccel/lane_engine.h",
       "#pragma once\n#include \"telemetry/sink.h\"\n"
       "void set_telemetry(telemetry::TelemetrySink* sink);\n");
   EXPECT_EQ(count_rule(vs, RuleId::kTelemetryBoundary), 0u);
@@ -335,19 +334,18 @@ TEST(QtlintLayering, DatapathAndSupportCodeMayNotIncludeRuntime) {
 TEST(QtlintLayering, OnlyRuntimeAndQtaccelNameConcreteBackends) {
   const std::string snippet =
       "#include \"qtaccel/pipeline.h\"\n"
-      "#include \"qtaccel/fast_engine.h\"\n"
       "#include \"qtaccel/lane_engine.h\"\nvoid f();\n";
   // Everything above the seam goes through the Engine facade instead.
   EXPECT_EQ(count_rule(lint_content("examples/quickstart.cpp", snippet),
                        RuleId::kLayering),
-            3u);
+            2u);
   EXPECT_EQ(count_rule(lint_content("bench/bench_microbench.cpp", snippet),
                        RuleId::kLayering),
-            3u);
+            2u);
   EXPECT_EQ(
       count_rule(lint_content("src/driver/qtaccel_device.cpp", snippet),
                  RuleId::kLayering),
-      3u);
+      2u);
   // The adapters and the backends' own module keep direct access.
   EXPECT_EQ(
       count_rule(lint_content("src/runtime/backend_registry.cpp", snippet),
@@ -421,7 +419,7 @@ TEST(QtlintLayering, ShardSitsAboveServeAndNothingIncludesIt) {
             0u);
   // And shard stays backend-generic like serve.
   EXPECT_EQ(count_rule(lint_content("src/shard/router.cpp",
-                                    "#include \"qtaccel/fast_engine.h\"\n"),
+                                    "#include \"qtaccel/lane_engine.h\"\n"),
                        RuleId::kLayering),
             1u);
 }
@@ -431,7 +429,7 @@ TEST(QtlintLayering, ServeStaysBackendGeneric) {
   // would break the snapshot bridge between backends.
   const std::string snippet =
       "#include \"qtaccel/pipeline.h\"\n"
-      "#include \"qtaccel/fast_engine.h\"\nvoid f();\n";
+      "#include \"qtaccel/lane_engine.h\"\nvoid f();\n";
   const auto vs = lint_content("src/serve/session_manager.cpp", snippet);
   EXPECT_EQ(count_rule(vs, RuleId::kLayering), 2u);
   // Each restricted-header include fires exactly one violation (the

@@ -194,48 +194,56 @@ TEST(ServeTrace, SpanChainConnectsEveryExecutedRequest) {
 }
 
 TEST(ServeTrace, LaneGroupSpansLandOnTheirOwnTrack) {
-  ServerOptions options;
-  options.max_hot = 4;
-  options.workers = 2;
-  options.trace = true;
-  LoopbackTransport transport(options);
+  // Four Step requests in one pump batch coalesce into one lane group
+  // when the sessions run kLanes; kFast sessions run the same engine but
+  // never join a group, so each executes alone and no span appears.
+  for (const qtaccel::Backend backend :
+       {qtaccel::Backend::kLanes, qtaccel::Backend::kFast}) {
+    SCOPED_TRACE(qtaccel::backend_name(backend));
+    ServerOptions options;
+    options.max_hot = 4;
+    options.workers = 2;
+    options.trace = true;
+    LoopbackTransport transport(options);
 
-  std::vector<SessionId> ids(4);
-  for (std::size_t i = 0; i < 4; ++i) {
-    Request req;
-    req.type = RequestType::kCreateSession;
-    req.spec = small_spec(20 + i, qtaccel::Backend::kLanes);
-    ids[i] = transport.call(req).session;
-  }
-  // All four posted before any pump: one batch, one coalesced group.
-  std::vector<Ticket> tickets;
-  for (const SessionId id : ids) {
-    Request req;
-    req.type = RequestType::kStep;
-    req.session = id;
-    req.steps = 64;
-    tickets.push_back(transport.post(req));
-  }
-  for (const Ticket t : tickets) {
-    ASSERT_EQ(transport.wait(t).status, Status::kOk);
-  }
-
-  const std::vector<Span> spans =
-      parse_spans(transport.server().trace()->json_text());
-  std::size_t groups = 0;
-  for (const Span& s : spans) {
-    if (s.name.rfind("lane_group[", 0) != 0) continue;
-    ++groups;
-    EXPECT_EQ(s.pid, 1) << "lane groups live on their own track";
-    EXPECT_EQ(s.args.at("lanes"), 4);
-    // Per-lane progress args: every lane advanced by at least the
-    // requested 64 (episode drain may overshoot a little).
-    for (int lane = 0; lane < 4; ++lane) {
-      EXPECT_GE(s.args.at("lane" + std::to_string(lane) + "_samples"), 64)
-          << "lane " << lane;
+    std::vector<SessionId> ids(4);
+    for (std::size_t i = 0; i < 4; ++i) {
+      Request req;
+      req.type = RequestType::kCreateSession;
+      req.spec = small_spec(20 + i, backend);
+      ids[i] = transport.call(req).session;
     }
+    // All four posted before any pump: one batch.
+    std::vector<Ticket> tickets;
+    for (const SessionId id : ids) {
+      Request req;
+      req.type = RequestType::kStep;
+      req.session = id;
+      req.steps = 64;
+      tickets.push_back(transport.post(req));
+    }
+    for (const Ticket t : tickets) {
+      ASSERT_EQ(transport.wait(t).status, Status::kOk);
+    }
+
+    const std::vector<Span> spans =
+        parse_spans(transport.server().trace()->json_text());
+    std::size_t groups = 0;
+    for (const Span& s : spans) {
+      if (s.name.rfind("lane_group[", 0) != 0) continue;
+      ++groups;
+      EXPECT_EQ(s.pid, 1) << "lane groups live on their own track";
+      EXPECT_EQ(s.args.at("lanes"), 4);
+      // Per-lane progress args: every lane advanced by at least the
+      // requested 64 (episode drain may overshoot a little).
+      for (int lane = 0; lane < 4; ++lane) {
+        EXPECT_GE(s.args.at("lane" + std::to_string(lane) + "_samples"),
+                  64)
+            << "lane " << lane;
+      }
+    }
+    EXPECT_EQ(groups, backend == qtaccel::Backend::kLanes ? 1u : 0u);
   }
-  EXPECT_EQ(groups, 1u);
 }
 
 // ---------------------------------------------------------------------

@@ -4,6 +4,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <deque>
+#include <functional>
 #include <thread>
 #include <vector>
 
@@ -63,6 +66,28 @@ TEST(ThreadPoolTest, ReusableAcrossBatches) {
     pool.parallel_for(17, [&](std::size_t) { ++count; });
     ASSERT_EQ(count.load(), 17);
   }
+}
+
+// Back-to-back batches, each with its own function. A worker that wakes
+// only after its batch finished must never run a later batch's items
+// through the finished batch's function (in real callers that function
+// is a dead temporary). Every function stays alive here, so such a call
+// is counted instead of being undefined behaviour. How often a buggy
+// pool gets caught depends on the scheduler: it needs a worker to be
+// descheduled between noticing a batch and taking the lock.
+TEST(ThreadPoolTest, LateWorkerNeverRunsAFinishedBatchsFunction) {
+  ThreadPool pool(8);
+  std::atomic<std::uint64_t> current{0};
+  std::atomic<std::uint64_t> stale{0};
+  std::deque<std::function<void(std::size_t)>> fns;
+  for (std::uint64_t batch = 1; batch <= 5000; ++batch) {
+    current.store(batch);
+    fns.emplace_back([batch, &current, &stale](std::size_t) {
+      if (current.load() != batch) stale.fetch_add(1);
+    });
+    pool.parallel_for(16, fns.back());
+  }
+  EXPECT_EQ(stale.load(), 0u);
 }
 
 // A skewed batch (one slow item first in worker 0's deque, many quick

@@ -120,9 +120,9 @@ constexpr std::array<std::string_view, 6> kTelemetryHostIdents{
 
 // qtaccel files that model pipeline hardware (as opposed to host-side
 // config/readback helpers such as config.cpp, table_io.cpp, resources.cpp).
-constexpr std::array<std::string_view, 7> kPipelineFileStems{
+constexpr std::array<std::string_view, 6> kPipelineFileStems{
     "pipeline",  "boltzmann_pipeline", "forwarding", "qmax_unit",
-    "action_units", "fast_engine", "lane_engine"};
+    "action_units", "lane_engine"};
 
 // --- the layering DAG (docs/static_analysis.md renders this table) ---
 //
@@ -167,9 +167,8 @@ constexpr std::array<LayerSpec, 15> kLayerSpecs{{
 // registry's adapters) and src/qtaccel (the backends' own module).
 // Everything else — including tools/examples/bench above the seam —
 // programs against the Engine facade or the backend registry.
-constexpr std::array<std::string_view, 3> kRestrictedBackendHeaders{
-    "qtaccel/pipeline.h", "qtaccel/fast_engine.h",
-    "qtaccel/lane_engine.h"};
+constexpr std::array<std::string_view, 2> kRestrictedBackendHeaders{
+    "qtaccel/pipeline.h", "qtaccel/lane_engine.h"};
 
 bool is_src_module(std::string_view module) {
   for (const auto& row : kLayerSpecs) {
@@ -529,7 +528,7 @@ void check_includes(const LexedFile& lexed, const FileClass& fc,
     }
     // Layering, part 1: the restricted backend headers. Applies
     // everywhere (src AND the tools/examples/bench dirs above the
-    // seam): Pipeline / FastEngine are constructed only by the
+    // seam): Pipeline / LaneEngine are constructed only by the
     // runtime's adapters and their own module. The serving layer gets
     // a tailored message — serve stays backend-generic so snapshots
     // keep bridging backends.

@@ -26,7 +26,7 @@
 //                     runtime/ headers are visible only to runtime,
 //                     driver and serve; serve/ headers only to serve
 //                     itself — and the concrete backend headers
-//                     (qtaccel/pipeline.h, qtaccel/fast_engine.h) are
+//                     (qtaccel/pipeline.h, qtaccel/lane_engine.h) are
 //                     constructible only from src/runtime and
 //                     src/qtaccel; everything else goes through the
 //                     Engine facade / backend registry. lint_repo also

@@ -283,8 +283,11 @@ int main(int argc, char** argv) {
       Connection& conn = *conn_ptr;
       const short revents = fds[idx++].revents;
       if ((revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
-        if (!read_some(conn)) conn.dead = true;
-        while (!conn.dead) {
+        // A peer may close right behind its last frames: submit every
+        // complete frame that arrived before marking the connection
+        // dead (its tickets then finish as orphans).
+        const bool open = read_some(conn);
+        while (true) {
           bool oversized = false;
           std::optional<std::string> payload =
               serve::unframe(conn.inbuf, &oversized);
@@ -306,6 +309,7 @@ int main(int argc, char** argv) {
           }
           conn.in_flight.push_back(server.submit(*req));
         }
+        if (!open) conn.dead = true;
       }
     }
 
