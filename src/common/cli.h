@@ -5,11 +5,21 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
 
 namespace qta {
+
+/// Whether an integer flag value lies in `min`..T's maximum: the daemons
+/// check every port and count this way before narrowing it to its field.
+template <typename T>
+constexpr bool flag_fits(std::int64_t value, std::int64_t min = 0) {
+  return value >= min &&
+         static_cast<std::uint64_t>(value) <=
+             static_cast<std::uint64_t>(std::numeric_limits<T>::max());
+}
 
 class CliFlags {
  public:

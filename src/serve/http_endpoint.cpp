@@ -8,7 +8,27 @@
 
 namespace qta::serve {
 
-namespace {
+std::optional<HttpRequest> parse_http_request(
+    const std::string& request_text) {
+  // Tolerate a bare "METHOD TARGET" (no HTTP version) — curl never
+  // sends it but the parse costs nothing.
+  const std::string line =
+      request_text.substr(0, request_text.find_first_of("\r\n"));
+  const std::size_t method_end = line.find(' ');
+  if (method_end == std::string::npos || method_end == 0) return std::nullopt;
+  HttpRequest request;
+  request.method = line.substr(0, method_end);
+  request.head = request.method == "HEAD";
+  std::size_t target_end = line.find(' ', method_end + 1);
+  if (target_end == std::string::npos) target_end = line.size();
+  request.target = line.substr(method_end + 1, target_end - method_end - 1);
+  const std::size_t query = request.target.find('?');
+  if (query != std::string::npos) {
+    request.query = request.target.substr(query + 1);
+    request.target.resize(query);
+  }
+  return request;
+}
 
 std::string http_response(const char* status_line, const std::string& body,
                           const char* content_type, bool include_body) {
@@ -23,53 +43,43 @@ std::string http_response(const char* status_line, const std::string& body,
   return out;
 }
 
-}  // namespace
-
-std::string handle_http(Server& server, const std::string& request_text) {
-  // Request line: METHOD SP TARGET SP VERSION. Tolerate a bare
-  // "METHOD TARGET" (no HTTP version) — curl never sends it but the
-  // parse costs nothing.
-  const std::size_t line_end = request_text.find_first_of("\r\n");
-  const std::string line = request_text.substr(
-      0, line_end == std::string::npos ? request_text.size() : line_end);
-  const std::size_t method_end = line.find(' ');
-  if (method_end == std::string::npos || method_end == 0) {
-    return http_response("400 Bad Request", "bad request\n", "text/plain",
-                         true);
+std::optional<std::string> shared_http_answer(
+    const std::optional<HttpRequest>& request,
+    const telemetry::MetricsRegistry& metrics,
+    const telemetry::FlightRecorder* flight) {
+  if (!request.has_value()) {
+    return http_response("400 Bad Request", "bad request\n", "text/plain");
   }
-  const std::string method = line.substr(0, method_end);
-  std::size_t target_end = line.find(' ', method_end + 1);
-  if (target_end == std::string::npos) target_end = line.size();
-  std::string target =
-      line.substr(method_end + 1, target_end - method_end - 1);
-  // Scrapers may append query strings (?format=...); the routes ignore
-  // them.
-  const std::size_t query = target.find('?');
-  if (query != std::string::npos) target.resize(query);
-
-  const bool head = method == "HEAD";
-  if (method != "GET" && !head) {
+  if (request->method != "GET" && !request->head) {
     return http_response("405 Method Not Allowed", "only GET here\n",
-                         "text/plain", true);
+                         "text/plain");
   }
-  if (target == "/healthz") {
-    return http_response("200 OK", "ok\n", "text/plain", !head);
+  const bool body = !request->head;
+  if (request->target == "/healthz") {
+    return http_response("200 OK", "ok\n", "text/plain", body);
   }
-  if (target == "/metrics") {
-    return http_response("200 OK", server.metrics().prometheus_text(),
-                         "text/plain; version=0.0.4", !head);
+  if (request->target == "/metrics") {
+    return http_response("200 OK", metrics.prometheus_text(),
+                         "text/plain; version=0.0.4", body);
   }
-  if (target == "/flightrecorder") {
-    const telemetry::FlightRecorder* flight = server.flight();
+  if (request->target == "/flightrecorder") {
     if (flight == nullptr) {
       return http_response("404 Not Found", "flight recorder disabled\n",
-                           "text/plain", true);
+                           "text/plain");
     }
     return http_response("200 OK", flight->json_text(), "application/json",
-                         !head);
+                         body);
   }
-  return http_response("404 Not Found", "no such route\n", "text/plain",
-                       true);
+  return std::nullopt;
+}
+
+std::string handle_http(Server& server, const std::string& request_text) {
+  // Scrapers may append query strings (?format=...); the routes ignore
+  // them.
+  std::optional<std::string> answer = shared_http_answer(
+      parse_http_request(request_text), server.metrics(), server.flight());
+  if (answer.has_value()) return *answer;
+  return http_response("404 Not Found", "no such route\n", "text/plain");
 }
 
 }  // namespace qta::serve

@@ -1,12 +1,12 @@
-// Thin POSIX TCP helpers shared by tools/qtserved and tools/qtclient.
+// Thin POSIX TCP helpers shared by the daemons, qtclient and qtbench.
 //
 // Failure reporting is by return value (invalid fd / false) plus an
 // errno-derived message through `error` — network setup problems are
 // operator errors, not programming errors, so nothing here aborts.
 // Framing on the wire is serve/protocol.h's u32le length prefix;
 // send_frame/recv_frame speak it over blocking sockets (the client
-// side). qtserved's poll loop does its own nonblocking buffering and
-// uses unframe() directly.
+// side). The daemons' nonblocking side is serve/socket_loop.h: it
+// listens through tcp_listen() and adopts sockets from tcp_connect().
 #pragma once
 
 #include <cstdint>
@@ -16,12 +16,6 @@
 namespace qta::serve {
 
 inline constexpr int kInvalidSocket = -1;
-
-/// Whether a parsed flag value names a TCP port (0..65535, 0 = let the
-/// kernel pick). The daemons check it before narrowing to uint16_t.
-inline constexpr bool valid_port(std::int64_t port) {
-  return port >= 0 && port <= 65535;
-}
 
 /// Listening socket on 127.0.0.1:`port` (SO_REUSEADDR, backlog 64).
 /// `port` 0 lets the kernel pick; *bound_port reports the result.

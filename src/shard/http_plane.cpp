@@ -1,43 +1,42 @@
 #include "shard/http_plane.h"
 
-#include <cstdlib>
-#include <map>
+#include <charconv>
+#include <cstdint>
+#include <limits>
+#include <optional>
 
+#include "serve/http_endpoint.h"
 #include "shard/router.h"
 
 namespace qta::shard {
 
 namespace {
 
-std::string http_response(const char* status_line, const std::string& body,
-                          const char* content_type, bool include_body) {
-  std::string out = "HTTP/1.0 ";
-  out += status_line;
-  out += "\r\nContent-Type: ";
-  out += content_type;
-  out += "\r\nContent-Length: ";
-  out += std::to_string(body.size());
-  out += "\r\nConnection: close\r\n\r\n";
-  if (include_body) out += body;
-  return out;
-}
+using serve::http_response;
 
-/// "a=1&b=2" -> {a:1, b:2}; values are raw (the plane's params are all
-/// unsigned integers, nothing needs percent-decoding).
-std::map<std::string, std::string> parse_query(const std::string& query) {
-  std::map<std::string, std::string> out;
-  std::size_t pos = 0;
-  while (pos < query.size()) {
+/// The value of `name` in query "a=1&b=2" as a whole decimal number of
+/// type T; nullopt when it is absent, not a number, or out of T's range.
+/// Values are raw: the plane's params are all unsigned integers, so
+/// nothing needs percent-decoding.
+template <typename T>
+std::optional<T> query_id(const std::string& query, const std::string& name) {
+  for (std::size_t pos = 0; pos < query.size();) {
     std::size_t amp = query.find('&', pos);
     if (amp == std::string::npos) amp = query.size();
-    const std::string pair = query.substr(pos, amp - pos);
-    const std::size_t eq = pair.find('=');
-    if (eq != std::string::npos) {
-      out[pair.substr(0, eq)] = pair.substr(eq + 1);
+    if (query.compare(pos, name.size() + 1, name + "=") == 0) {
+      const char* first = query.data() + pos + name.size() + 1;
+      const char* last = query.data() + amp;
+      std::uint64_t value = 0;
+      const auto [ptr, ec] = std::from_chars(first, last, value);
+      if (ec != std::errc() || ptr != last ||
+          value > std::numeric_limits<T>::max()) {
+        return std::nullopt;
+      }
+      return static_cast<T>(value);
     }
     pos = amp + 1;
   }
-  return out;
+  return std::nullopt;
 }
 
 std::string ok_json(bool ok) {
@@ -48,83 +47,40 @@ std::string ok_json(bool ok) {
 
 std::string handle_router_http(Router& router,
                                const std::string& request_text) {
-  const std::size_t line_end = request_text.find_first_of("\r\n");
-  const std::string line = request_text.substr(
-      0, line_end == std::string::npos ? request_text.size() : line_end);
-  const std::size_t method_end = line.find(' ');
-  if (method_end == std::string::npos || method_end == 0) {
-    return http_response("400 Bad Request", "bad request\n", "text/plain",
-                         true);
+  const std::optional<serve::HttpRequest> request =
+      serve::parse_http_request(request_text);
+  std::optional<std::string> answer =
+      serve::shared_http_answer(request, router.metrics(), router.flight());
+  if (answer.has_value()) return *answer;
+  const bool body = !request->head;
+  if (request->target == "/shards") {
+    return http_response("200 OK", router.shards_json(), "application/json",
+                         body);
   }
-  const std::string method = line.substr(0, method_end);
-  std::size_t target_end = line.find(' ', method_end + 1);
-  if (target_end == std::string::npos) target_end = line.size();
-  std::string target =
-      line.substr(method_end + 1, target_end - method_end - 1);
-  std::string query;
-  const std::size_t qpos = target.find('?');
-  if (qpos != std::string::npos) {
-    query = target.substr(qpos + 1);
-    target.resize(qpos);
-  }
-
-  const bool head = method == "HEAD";
-  if (method != "GET" && !head) {
-    return http_response("405 Method Not Allowed", "only GET here\n",
-                         "text/plain", true);
-  }
-  if (target == "/healthz") {
-    return http_response("200 OK", "ok\n", "text/plain", !head);
-  }
-  if (target == "/metrics") {
-    return http_response("200 OK", router.metrics().prometheus_text(),
-                         "text/plain; version=0.0.4", !head);
-  }
-  if (target == "/flightrecorder") {
-    const telemetry::FlightRecorder* flight = router.flight();
-    if (flight == nullptr) {
-      return http_response("404 Not Found", "flight recorder disabled\n",
-                           "text/plain", true);
+  if (request->target == "/migrate") {
+    const auto session = query_id<serve::SessionId>(request->query, "session");
+    const auto shard = query_id<ShardId>(request->query, "shard");
+    if (!session.has_value() || !shard.has_value()) {
+      return http_response("400 Bad Request", "need ?session=S&shard=T\n",
+                           "text/plain");
     }
-    return http_response("200 OK", flight->json_text(), "application/json",
-                         !head);
+    return http_response("200 OK", ok_json(router.migrate(*session, *shard)),
+                         "application/json", body);
   }
-  if (target == "/shards") {
-    return http_response("200 OK", router.shards_json(),
-                         "application/json", !head);
-  }
-  if (target == "/migrate") {
-    const auto params = parse_query(query);
-    const auto session = params.find("session");
-    const auto shard = params.find("shard");
-    if (session == params.end() || shard == params.end()) {
-      return http_response("400 Bad Request",
-                           "need ?session=S&shard=T\n", "text/plain", true);
-    }
-    const bool ok = router.migrate(
-        std::strtoull(session->second.c_str(), nullptr, 10),
-        static_cast<ShardId>(
-            std::strtoul(shard->second.c_str(), nullptr, 10)));
-    return http_response("200 OK", ok_json(ok), "application/json", !head);
-  }
-  if (target == "/drain") {
-    const auto params = parse_query(query);
-    const auto shard = params.find("shard");
-    if (shard == params.end()) {
+  if (request->target == "/drain") {
+    const auto shard = query_id<ShardId>(request->query, "shard");
+    if (!shard.has_value()) {
       return http_response("400 Bad Request", "need ?shard=S\n",
-                           "text/plain", true);
+                           "text/plain");
     }
-    const bool ok = router.drain(static_cast<ShardId>(
-        std::strtoul(shard->second.c_str(), nullptr, 10)));
-    return http_response("200 OK", ok_json(ok), "application/json", !head);
+    return http_response("200 OK", ok_json(router.drain(*shard)),
+                         "application/json", body);
   }
-  if (target == "/checkpoint") {
+  if (request->target == "/checkpoint") {
     router.checkpoint_all();
-    return http_response("200 OK", ok_json(true), "application/json",
-                         !head);
+    return http_response("200 OK", ok_json(true), "application/json", body);
   }
-  return http_response("404 Not Found", "no such route\n", "text/plain",
-                       true);
+  return http_response("404 Not Found", "no such route\n", "text/plain");
 }
 
 }  // namespace qta::shard

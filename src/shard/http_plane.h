@@ -1,6 +1,7 @@
-// Router-side HTTP plane, the qtrouterd sibling of
-// serve/http_endpoint.h: one pure function from request text to
-// response bytes, so every route is unit-testable without a socket.
+// Router-side HTTP plane, qtrouterd's counterpart of
+// serve/http_endpoint.h: it answers the shared routes through that
+// header and adds the topology and control routes below, as one pure
+// function from request text to response bytes.
 //
 // Read routes (GET/HEAD):
 //   /healthz        -> 200 "ok\n"
@@ -13,8 +14,9 @@
 //   /migrate?session=S&shard=T  start migrating session S to shard T
 //   /drain?shard=S              start draining shard S
 //   /checkpoint                 checkpoint every session's replay log
-// Unknown routes 404, other methods 405, unparsable request lines 400;
-// every response closes the connection.
+// S and T must be whole decimal numbers that fit the id's type; anything
+// else is 400. Unknown routes 404, other methods 405, unparsable request
+// lines 400; every response closes the connection.
 #pragma once
 
 #include <string>

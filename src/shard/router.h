@@ -139,6 +139,9 @@ class Router {
   /// Topology + counters as JSON (the Shards probe / HTTP /shards).
   std::string shards_json() const;
   bool shutdown_requested() const { return shutdown_; }
+  /// Whether the router still holds `shard`: false once it failed, or
+  /// once its drain completed.
+  bool has_shard(ShardId shard) const { return shards_.contains(shard); }
   /// Sessions currently owned by `shard` (draining/failover math).
   std::size_t sessions_on(ShardId shard) const;
   /// The ids of sessions owned by `shard` and not already moving, in

@@ -878,6 +878,19 @@ TEST(ShardHttpPlane, RoutesAgainstALiveRouter) {
   EXPECT_NE(handle_router_http(router, "GET /migrate?session=9 HTTP/1.0\r\n\r\n")
                 .find("400"),
             std::string::npos);
+  // Ids must be whole decimal numbers that fit their type: neither
+  // "abc" nor 2^32 may wrap around to shard 0.
+  for (const char* bad :
+       {"/drain?shard=abc", "/drain?shard=4294967296", "/drain?shard=",
+        "/drain?shard=-1", "/migrate?session=1x&shard=0"}) {
+    EXPECT_EQ(handle_router_http(router, std::string("GET ") + bad +
+                                             " HTTP/1.0\r\n\r\n")
+                  .rfind("HTTP/1.0 400 Bad Request", 0),
+              0u)
+        << bad;
+  }
+  EXPECT_TRUE(router.ring().contains(0));
+  EXPECT_TRUE(router.ring().contains(1));
   // checkpoint_all only snapshots sessions with replay-log entries;
   // give it one to park.
   ASSERT_EQ(client.step(id, 16).status, serve::Status::kOk);
