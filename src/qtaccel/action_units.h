@@ -26,24 +26,31 @@ class RngBank {
   RngBank(std::uint64_t master_seed, const AddressMap& map);
 
   // The draw_* methods are inline: they run once or more per simulated
-  // sample in both backends' hot loops, and keeping them visible to the
+  // sample in every executor's hot loop, and keeping them visible to the
   // optimizer lets the LFSR registers live in machine registers across
-  // iterations.
+  // iterations. Each draw is a few leaps of its register (rng/lfsr.h):
+  // the bank's x^32 + x^22 + x^2 + x + 1 registers advance up to 10 bits
+  // per leap, so an action draw or a coin flip is one leap, an epsilon
+  // draw at the default 16 bits two, and a start-state draw four.
 
   /// Episode-start state: uniform over [0, |S|) via the multiply trick
-  /// (the draw may land on a terminal state — the caller then treats the
-  /// iteration as a zero-length episode and redraws next iteration).
+  /// on a 32-bit draw (the draw may land on a terminal state — the caller
+  /// then treats the iteration as a zero-length episode and redraws next
+  /// iteration).
   StateId draw_start_state(StateId num_states) {
     return static_cast<StateId>(start_.below(num_states));
   }
 
-  /// Behavior action, uniform over the 2^action_bits encodings.
+  /// Behavior action, uniform over the 2^action_bits encodings: one
+  /// action_bits-wide draw.
   ActionId draw_random_action() {
     return static_cast<ActionId>(behavior_.draw_bits(map_.action_bits));
   }
 
-  /// One epsilon-greedy draw (SARSA stage 2): an N-bit word compared with
-  /// the threshold; the low action bits double as the exploration index.
+  /// One epsilon-greedy draw (SARSA stage 2): an N-bit word, drawn in
+  /// ceil(N / 10) leaps, compared with the threshold; the low action bits
+  /// (the first ones out of the register) double as the exploration
+  /// index.
   struct EpsilonDraw {
     bool greedy = false;
     ActionId explore_action = 0;
@@ -65,9 +72,9 @@ class RngBank {
     return noise_.draw_bits(bits);
   }
 
-  /// Double Q-Learning's per-sample coin flip (which table learns);
-  /// drawn from the update-policy LFSR, which kDoubleQ uses for nothing
-  /// else.
+  /// Double Q-Learning's per-sample coin flip (which table learns): a
+  /// one-bit draw from the update-policy LFSR, which kDoubleQ uses for
+  /// nothing else.
   unsigned draw_table_select() {
     return static_cast<unsigned>(update_.draw_bits(1));
   }

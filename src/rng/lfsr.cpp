@@ -26,6 +26,15 @@ constexpr Taps kTaps[65] = {
     {{31, 0}},   {{55, 35, 34}}, {{50, 0}}, {{39, 0}},     {{58, 38, 37}},
     {{59, 0}},   {{60, 46, 45}}, {{61, 6, 5}}, {{62, 0}},  {{63, 61, 60}},
 };
+
+// Reverses the low `width` bits of `v`.
+std::uint64_t mirror(std::uint64_t v, unsigned width) {
+  std::uint64_t m = 0;
+  for (unsigned i = 0; i < width; ++i) {
+    m |= ((v >> i) & 1u) << (width - 1 - i);
+  }
+  return m;
+}
 }  // namespace
 
 std::uint64_t lfsr_taps(unsigned width) {
@@ -41,10 +50,22 @@ std::uint64_t lfsr_taps(unsigned width) {
 Lfsr::Lfsr(unsigned width, std::uint64_t seed)
     : width_(width),
       mask_(width == 64 ? ~std::uint64_t{0}
-                        : (std::uint64_t{1} << width) - 1),
-      taps_(lfsr_taps(width)) {
-  state_ = seed & mask_;
-  if (state_ == 0) state_ = 1;  // all-zero is the absorbing state
+                        : (std::uint64_t{1} << width) - 1) {
+  const std::uint64_t taps = lfsr_taps(width);
+  const unsigned high = static_cast<unsigned>(std::bit_width(taps)) - 1;
+  leap_ = width - high;
+  feedback_ = mirror(taps, high + 1);
+  std::uint64_t state = seed & mask_;
+  if (state == 0) state = 1;  // all-zero is the absorbing state
+  reg_ = mirror(state, width_);
+}
+
+std::uint64_t Lfsr::state() const { return mirror(reg_, width_); }
+
+void Lfsr::set_state(std::uint64_t state) {
+  QTA_CHECK_MSG(state != 0 && (state & mask_) == state,
+                "LFSR state outside the register's reachable set");
+  reg_ = mirror(state, width_);
 }
 
 double Lfsr::uniform() {

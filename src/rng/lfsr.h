@@ -8,8 +8,16 @@
 // seen per purpose is independent of pipeline interleaving — this is what
 // makes the pipelined accelerator bit-identical to the sequential golden
 // model (see qtaccel/golden_model.h).
+//
+// Draws leap forward (the leap-forward LFSR of Chu & Jones, MAPLD 1999):
+// the hardware unrolls the feedback in combinational logic to make an
+// n-bit draw in one cycle, and draw_bits advances the register up to
+// `width - h` bits per step, h being the highest tap exponent below the
+// width. The output stream is the bit-serial one: the bit leaving at the
+// MSB on every single step.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 
 #include "common/check.h"
@@ -17,46 +25,53 @@
 namespace qta::rng {
 
 /// Maximal-length Galois LFSR of configurable width (2..64 bits).
+///
+/// The register is kept mirrored (bit i holds register bit width-1-i), so
+/// the bits about to leave the MSB are the low bits, already in stream
+/// order. state() and set_state() take and give the register as
+/// published, so snapshots hold the same words as a bit-serial LFSR.
 class Lfsr {
  public:
   /// `width` selects the tap polynomial; `seed` is folded into the state
   /// (a zero fold is replaced by 1, since the all-zero state is absorbing).
   explicit Lfsr(unsigned width = 32, std::uint64_t seed = 0xace1u);
 
-  /// Advances one step and returns the full register state.
-  /// Inline: this is the innermost operation of every random draw in the
-  /// simulator's hot loops (one call per output bit).
-  std::uint64_t step() {
-    // Galois left-shift form: the bit leaving at the MSB re-enters through
-    // the polynomial taps.
-    const std::uint64_t out = (state_ >> (width_ - 1)) & 1u;
-    state_ = ((state_ << 1) & mask_) ^ (out ? taps_ : 0u);
-    return state_;
-  }
-
-  /// Draws `n` (1..64) pseudo-random bits from the output stream: one
-  /// register step per bit (the hardware unrolls the feedback n times in
-  /// combinational logic to produce n bits per cycle). Bit-serial
-  /// collection keeps successive draws decorrelated, which whole-register
-  /// snapshots would not.
+  /// Draws `n` (1..64) bits of the output stream, the first bit out in
+  /// bit 0. Inline: this runs one or more times per simulated sample in
+  /// every executor's hot loop.
+  ///
+  /// For leap_ single steps no feedback reaches the MSB, so the next
+  /// c <= leap_ output bits are the register's top c bits as they stand
+  /// (the mirror's low bits), and c steps come to one shift plus a
+  /// carry-less product of those bits with the taps:
+  ///   published: ((state << c) ^ clmul(top c bits, taps)) & mask
+  ///   mirrored:  (reg >> c) ^ (clmul(low c bits, feedback) << (leap - c))
+  /// The product lands inside the register, so the mirrored form needs no
+  /// mask. A 16-bit draw from the x^32 + x^22 + x^2 + x + 1 register takes
+  /// two leaps instead of 16 steps. Draws come from the stream, never from
+  /// register snapshots: successive snapshots overlap in all but one bit
+  /// and badly correlate.
   std::uint64_t draw_bits(unsigned n) {
     QTA_CHECK(n >= 1 && n <= 64);
-    // Bit-serial collection of the output stream (the MSB shifted out each
-    // step). Taking whole register snapshots instead would make successive
-    // draws overlap in all but one bit and badly correlate them.
     std::uint64_t acc = 0;
-    for (unsigned i = 0; i < n; ++i) {
-      const std::uint64_t out = (state_ >> (width_ - 1)) & 1u;
-      acc |= out << i;
-      step();
+    for (unsigned done = 0; done < n;) {
+      const unsigned c = n - done < leap_ ? n - done : leap_;
+      const std::uint64_t out = reg_ & ((std::uint64_t{1} << c) - 1);
+      acc |= out << done;
+      std::uint64_t fed = 0;  // carry-less out * feedback_: <= 5 terms
+      for (std::uint64_t t = feedback_; t != 0; t &= t - 1) {
+        fed ^= out << std::countr_zero(t);
+      }
+      reg_ = (reg_ >> c) ^ (fed << (leap_ - c));
+      done += c;
     }
     return acc;
   }
 
   /// Uniform value in [0, bound) via the fixed-point multiply trick
-  /// (one DSP): (draw * bound) >> width. Slight bias of bound/2^width,
-  /// identical to the hardware shortcut the paper describes for indexing
-  /// "one of the Q-values" directly.
+  /// (one DSP): (draw * bound) >> 32 over a 32-bit draw. Slight bias of
+  /// bound/2^32, identical to the hardware shortcut the paper describes
+  /// for indexing "one of the Q-values" directly.
   std::uint64_t below(std::uint64_t bound) {
     QTA_CHECK(bound >= 1);
     if (bound == 1) return 0;
@@ -69,16 +84,13 @@ class Lfsr {
   /// Uniform double in [0, 1) using width bits (capped at 53).
   double uniform();
 
-  std::uint64_t state() const { return state_; }
+  /// The register as published (unmirrored).
+  std::uint64_t state() const;
 
   /// Restores a previously observed register state (snapshot resume).
   /// The state must be a value this register can actually hold: nonzero
   /// (the all-zero state is absorbing) and within the register width.
-  void set_state(std::uint64_t state) {
-    QTA_CHECK_MSG(state != 0 && (state & mask_) == state,
-                  "LFSR state outside the register's reachable set");
-    state_ = state;
-  }
+  void set_state(std::uint64_t state);
 
   unsigned width() const { return width_; }
 
@@ -90,10 +102,14 @@ class Lfsr {
 
  private:
   unsigned width_;
+  unsigned leap_;  // width - highest tap exponent: 1..63
   std::uint64_t mask_;
-  std::uint64_t taps_;
-  std::uint64_t state_;
+  std::uint64_t feedback_;  // taps mirrored: bit (h - e) per tap exponent e
+  std::uint64_t reg_;       // the register, mirrored
 };
+
+// RngBank keeps four of these in every lane's hot record.
+static_assert(sizeof(Lfsr) == 32, "Lfsr grew past four words");
 
 /// The tap polynomial (bit mask) used for a given width; exposed for tests
 /// that verify maximal periods.

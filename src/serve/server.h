@@ -30,8 +30,12 @@
 //
 // Backpressure: a session request that arrives while RequestQueue holds
 // `max_queue` staged requests is answered kOverloaded immediately.
-// Nothing is buffered beyond that bound, so server memory stays bounded
-// no matter how fast clients push.
+// Nothing is buffered inside Server beyond that bound, so the Server's
+// own memory stays bounded no matter how fast clients push. The daemon
+// around it is not yet bounded: SocketLoop's per-connection output
+// buffers (serve/socket_loop.h) have no cap, so a client that pipelines
+// requests and never reads its replies grows qtserved by one reply per
+// request.
 //
 // Telemetry (metric catalog in docs/serving.md): request/overload/error
 // counters, queue-depth / batch-size log2 histograms, request latency
