@@ -1,8 +1,7 @@
 // Dependency-free streaming JSON emitter.
 //
-// Grew up as bench/bench_json.h feeding CI artifacts; promoted into
-// src/common once the telemetry subsystem needed the same writer for
-// metric snapshots and Chrome-trace export. It is a small streaming
+// The telemetry subsystem writes metric snapshots, flight-recorder
+// dumps and Chrome-trace export through it. It is a small streaming
 // writer: explicit begin/end nesting, automatic comma placement, string
 // escaping, and round-trippable number formatting. Invalid sequences
 // (value without a key inside an object, unbalanced end_*) abort via

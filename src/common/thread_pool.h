@@ -1,13 +1,9 @@
 // Persistent work-stealing thread pool for host-side parallel sweeps.
 //
-// IndependentPipelines used to spawn fresh std::threads on every
-// run_samples_each call and assign pipelines to threads with a static
-// round-robin (pipeline i -> thread i % T). With heterogeneous
-// partitions the static buckets serialize on their slowest member: one
-// large partition pins its bucket while the other threads finish their
-// small partitions and go idle. This pool keeps its workers alive across
-// calls and hands out items through per-worker deques with stealing, so
-// an idle worker drains the backlog of a loaded one instead of parking.
+// The pool keeps its workers alive across calls and hands out items
+// through per-worker deques with stealing, so an idle worker drains the
+// backlog of a loaded one instead of parking: a fleet of unequal
+// partitions does not serialize on its slowest member.
 //
 // Scheduling model: parallel_for(count, fn) places contiguous chunks of
 // the item indices on the worker deques (chunks, not round-robin, so a

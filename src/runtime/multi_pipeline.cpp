@@ -210,8 +210,6 @@ IndependentPipelines::IndependentPipelines(
 }
 
 unsigned IndependentPipelines::pool_workers(unsigned max_threads) const {
-  // Matches run_samples_each's work-stealing resolution, including the
-  // hardware clamp, so observer tracks line up with actual workers.
   const unsigned hardware = std::thread::hardware_concurrency();
   unsigned threads =
       resolve_thread_count(max_threads, hardware, engines_.size());
@@ -220,8 +218,7 @@ unsigned IndependentPipelines::pool_workers(unsigned max_threads) const {
 }
 
 void IndependentPipelines::run_samples_each(std::uint64_t samples,
-                                            unsigned max_threads,
-                                            Schedule schedule) {
+                                            unsigned max_threads) {
   if (config_.backend == qtaccel::Backend::kLanes) {
     // The lanes backend IS the batching mechanism: coalesce the whole
     // fleet into one lane group (same config everywhere, so always
@@ -236,35 +233,9 @@ void IndependentPipelines::run_samples_each(std::uint64_t samples,
         std::vector<std::uint64_t>(engines_.size(), samples));
     return;
   }
-  const unsigned hardware = std::thread::hardware_concurrency();
-  unsigned threads =
-      resolve_thread_count(max_threads, hardware, engines_.size());
-  if (schedule == Schedule::kWorkStealing && hardware != 0 &&
-      threads > hardware) {
-    // Over-subscribing compute-bound engines only buys context-switch
-    // overhead: with more workers than cores the pool's dynamic
-    // claiming degenerates to the OS scheduler time-slicing them. Clamp
-    // to the hardware (the static schedule keeps the caller's count —
-    // it is the legacy-ablation baseline and must not silently change).
-    threads = hardware;
-  }
+  const unsigned threads = pool_workers(max_threads);
   if (threads == 1) {
     for (auto& e : engines_) e->run_samples(samples);
-    return;
-  }
-  if (schedule == Schedule::kStaticRoundRobin) {
-    // Legacy schedule (pre-pool): fresh threads per call, pipeline i
-    // pinned to thread i % threads. Kept as the bench ablation baseline.
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (unsigned t = 0; t < threads; ++t) {
-      pool.emplace_back([this, t, threads, samples] {
-        for (std::size_t i = t; i < engines_.size(); i += threads) {
-          engines_[i]->run_samples(samples);
-        }
-      });
-    }
-    for (auto& th : pool) th.join();
     return;
   }
   if (!pool_ || pool_->size() != threads) {

@@ -13,7 +13,8 @@
 //
 // IndependentPipelines — "Independent Learners": N engines, each with its
 // own environment partition and its own BRAM bank; embarrassingly
-// parallel, simulated with host threads. Either backend works.
+// parallel, simulated with host threads. Every backend works; a kLanes
+// fleet advances as one lane group instead.
 //
 // Both pools checkpoint through the snapshot layer: per-pipe machine
 // snapshots concatenated under a pool header, written at a lockstep
@@ -120,14 +121,6 @@ class SharedTablePipelines {
   Cycle cycles_ = 0;
 };
 
-/// How run_samples_each maps pipelines onto host threads.
-enum class Schedule {
-  kWorkStealing,      // persistent pool, dynamic claiming (default)
-  kStaticRoundRobin,  // legacy: pipeline i pinned to thread i % T —
-                      // kept for the bench ablation; a skewed workload
-                      // serializes on its slowest bucket here
-};
-
 /// Lock discipline: this class owns no mutex. Parallelism happens only
 /// inside ThreadPool::parallel_for (annotated and checked by clang's
 /// thread-safety analysis; common/annotations.h), each worker item
@@ -144,20 +137,15 @@ class IndependentPipelines {
       std::vector<std::unique_ptr<env::Environment>> environments,
       const qtaccel::PipelineConfig& config);
 
-  /// Runs every pipeline for `samples` samples, using up to
-  /// `max_threads` host threads (0 = hardware concurrency; a platform
-  /// that cannot report its concurrency runs single-threaded). The
-  /// work-stealing schedule reuses one persistent pool across calls and
-  /// clamps the worker count to the hardware concurrency (requesting
-  /// more workers than cores only adds context switches; the static
-  /// schedule keeps the raw request — it is the ablation baseline).
-  /// With the lanes backend the fleet is coalesced into one LaneEngine
-  /// group instead (runtime/lane_coalescer.h): all pipelines advance in
-  /// one lane-batched round loop, and `max_threads`/`schedule` are
-  /// moot. Results are schedule- and thread-count-independent: every
-  /// engine is fully self-contained, so only wall-clock time changes.
-  void run_samples_each(std::uint64_t samples, unsigned max_threads = 0,
-                        Schedule schedule = Schedule::kWorkStealing);
+  /// Runs every pipeline for `samples` samples on
+  /// pool_workers(max_threads) host threads, through one persistent
+  /// work-stealing pool reused across calls. With the lanes backend the
+  /// fleet is coalesced into one LaneEngine group instead
+  /// (runtime/lane_coalescer.h): all pipelines advance in one
+  /// lane-batched round loop, and `max_threads` is moot. Results are
+  /// thread-count-independent: every engine is fully self-contained, so
+  /// only wall-clock time changes.
+  void run_samples_each(std::uint64_t samples, unsigned max_threads = 0);
 
   /// Fleet checkpoint: one v2 text machine snapshot per engine (loads
   /// sniff the version per engine). Valid at any point between
@@ -194,19 +182,18 @@ class IndependentPipelines {
   /// Combined resource ledger (N banks + N pipelines of logic).
   hw::ResourceLedger resources() const;
 
-  /// Items moved between worker deques by the pool so far (0 until a
-  /// work-stealing run happened; diagnostic for the bench).
-  std::uint64_t pool_steals() const { return pool_ ? pool_->steals() : 0; }
-
-  /// Observer attached to the persistent pool's next work-stealing run
-  /// (see telemetry/pool_observer.h; nullptr detaches). Stored here
-  /// because the pool is built lazily; applied at run_samples_each time.
+  /// Observer attached to the persistent pool's next run (see
+  /// telemetry/pool_observer.h; nullptr detaches). Stored here because
+  /// the pool is built lazily; applied at run_samples_each time.
   void set_pool_observer(TaskObserver* observer) {
     pool_observer_ = observer;
     if (pool_) pool_->set_observer(observer);
   }
-  /// Workers the work-stealing schedule would use for `max_threads`
-  /// (callers size PoolTraceObserver tracks with this).
+  /// Host threads run_samples_each uses for `max_threads` (0 = hardware
+  /// concurrency; a platform that cannot report its concurrency runs
+  /// single-threaded), clamped to the hardware concurrency: more
+  /// workers than cores only adds context switches. Callers size
+  /// PoolTraceObserver tracks with this.
   unsigned pool_workers(unsigned max_threads = 0) const;
 
  private:

@@ -14,8 +14,8 @@
 // drops a shard on the floor — undelivered bytes and all — and feeds
 // the router the same on_shard_failed a daemon would derive from a
 // dead socket, which is exactly the failover path the CI smoke kills
-// a real worker to exercise. Tests and bench_shard share this harness
-// so migration/failover behavior is pinned without sockets.
+// a real worker to exercise. Tests drive the router through this
+// harness so migration/failover behavior is pinned without sockets.
 #pragma once
 
 #include <cstdint>

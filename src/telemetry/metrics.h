@@ -6,7 +6,7 @@
 // telemetry/sink.h (enforced by qtlint's telemetry-boundary rule). The
 // registry is the aggregation end: PipelineTelemetry folds sink events
 // into these instruments, and the registry snapshots to either
-// Prometheus text exposition or the bench_json JSON shape.
+// Prometheus text exposition or JSON (write_json below).
 //
 // Concurrency: instrument handles returned by the registry are stable
 // for the registry's lifetime and their mutation ops are relaxed
@@ -92,7 +92,7 @@ class Histogram {
 /// (q in [0,1]), i.e. the le="..." a Prometheus histogram_quantile
 /// would report for this log2 bucketing. Returns 0 for an empty
 /// histogram. Report-only: a bucket upper bound, not an interpolated
-/// value — fine for the p50/p95/p99 summaries bench_serve records.
+/// value, so a p99 reads 127 or 255 and nothing in between.
 std::uint64_t histogram_percentile_upper_bound(const Histogram& h, double q);
 
 /// Owns every instrument; one series per (name, labels) pair.
@@ -119,8 +119,8 @@ class MetricsRegistry {
   std::string prometheus_text() const;
 
   /// Emits one JSON object value ({"counters":[...],"gauges":[...],
-  /// "histograms":[...]}) into an in-progress document — the shape the
-  /// bench_json artifacts embed under a "metrics" key.
+  /// "histograms":[...]}) into an in-progress document — the Stats
+  /// reply's body, and what quickstart embeds under a "metrics" key.
   void write_json(qta::JsonWriter& json) const;
   std::string json_text() const;
 

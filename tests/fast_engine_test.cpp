@@ -12,6 +12,7 @@
 
 #include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "env/grid_world.h"
@@ -278,6 +279,62 @@ TEST_P(FastEngineTest, SamplesMatchPipeline) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, FastEngineTest,
                          testing::ValuesIn(make_cases()), case_name);
+
+// Table I's largest case, 512x512 states x 8 actions, through both
+// executors. The sweep above tops out at 8x8 (StreamPin at 16x16), so
+// this is the only fast-engine differential whose grid states need more
+// than 16 bits; 150k iterations in two uneven calls.
+class FastEngineTableOne : public testing::TestWithParam<Algorithm> {};
+
+TEST_P(FastEngineTableOne, LargestCaseMatchesPipeline) {
+  env::GridWorldConfig gc;
+  gc.width = 512;
+  gc.height = 512;
+  gc.num_actions = 8;
+  const env::GridWorld world(gc);
+  PipelineConfig config;
+  config.algorithm = GetParam();
+  config.seed = 12345;
+  config.max_episode_length = 4096;
+  config.backend = Backend::kFast;  // Pipeline ignores it
+
+  Pipeline pipeline(world, config);
+  std::vector<SampleTrace> pipe_trace;
+  pipeline.set_trace(&pipe_trace);
+
+  runtime::Engine fast(world, config);
+  std::vector<SampleTrace> fast_trace;
+  fast.set_trace(&fast_trace);
+
+  for (const std::uint64_t n : {50000ull, 100000ull}) {
+    pipeline.run_iterations(n);
+    fast.run_iterations(n);
+  }
+
+  ASSERT_EQ(pipe_trace.size(), fast_trace.size());
+  for (std::size_t i = 0; i < pipe_trace.size(); ++i) {
+    ASSERT_EQ(pipe_trace[i], fast_trace[i]) << "divergence at " << i;
+  }
+  for (StateId s = 0; s < world.num_states(); ++s) {
+    for (ActionId a = 0; a < world.num_actions(); ++a) {
+      ASSERT_EQ(pipeline.q_raw(s, a), fast.q_raw(s, a))
+          << "Q mismatch at s=" << s << " a=" << a;
+    }
+    ASSERT_EQ(pipeline.qmax_entry(s).value, fast.qmax_entry(s).value)
+        << "Qmax value, s=" << s;
+  }
+  expect_same_stats(pipeline.stats(), fast.stats());
+  EXPECT_EQ(pipeline.dsp_saturations(), fast.dsp_saturations());
+}
+
+std::string algorithm_name(const testing::TestParamInfo<Algorithm>& info) {
+  return info.param == Algorithm::kQLearning ? "QL" : "SARSA";
+}
+
+INSTANTIATE_TEST_SUITE_P(Grid512x512, FastEngineTableOne,
+                         testing::Values(Algorithm::kQLearning,
+                                         Algorithm::kSarsa),
+                         algorithm_name);
 
 // Warm-start path: preset_q + rebuild_qmax must leave both backends in
 // the same state, and stay bit-identical when training resumes.

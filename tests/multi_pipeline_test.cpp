@@ -201,28 +201,35 @@ TEST(IndependentPipelines, ResourceLedgerScales) {
 
 TEST(IndependentPipelines, ThreadedAndSerialAgree) {
   // Determinism: running the same pipelines on 1 thread or 2 threads
-  // must produce identical tables (no shared state).
-  auto make = [] {
-    auto bands = env::partition_grid(grid(8, 16), 2);
-    std::vector<std::unique_ptr<env::Environment>> envs;
-    for (const auto& b : bands) {
-      envs.push_back(std::make_unique<env::GridWorld>(b));
-    }
-    PipelineConfig c;
-    c.seed = 8;
-    return std::make_unique<IndependentPipelines>(std::move(envs), c);
-  };
-  auto serial = make();
-  auto threaded = make();
-  serial->run_samples_each(20000, 1);
-  threaded->run_samples_each(20000, 2);
-  for (unsigned i = 0; i < 2; ++i) {
-    const auto& es = serial->environment(i);
-    for (StateId s = 0; s < es.num_states(); ++s) {
-      for (ActionId a = 0; a < es.num_actions(); ++a) {
-        ASSERT_EQ(serial->engine(i).q_raw(s, a),
-                  threaded->engine(i).q_raw(s, a));
+  // must produce identical tables (no shared state), on both backends
+  // the pool schedules (kLanes coalesces into one lane group instead).
+  for (const Backend backend : {Backend::kCycleAccurate, Backend::kFast}) {
+    SCOPED_TRACE(backend_name(backend));
+    auto make = [backend] {
+      auto bands = env::partition_grid(grid(8, 16), 2);
+      std::vector<std::unique_ptr<env::Environment>> envs;
+      for (const auto& b : bands) {
+        envs.push_back(std::make_unique<env::GridWorld>(b));
       }
+      PipelineConfig c;
+      c.seed = 8;
+      c.backend = backend;
+      return std::make_unique<IndependentPipelines>(std::move(envs), c);
+    };
+    auto serial = make();
+    auto threaded = make();
+    serial->run_samples_each(20000, 1);
+    threaded->run_samples_each(20000, 2);
+    for (unsigned i = 0; i < 2; ++i) {
+      const auto& es = serial->environment(i);
+      for (StateId s = 0; s < es.num_states(); ++s) {
+        for (ActionId a = 0; a < es.num_actions(); ++a) {
+          ASSERT_EQ(serial->engine(i).q_raw(s, a),
+                    threaded->engine(i).q_raw(s, a));
+        }
+      }
+      EXPECT_EQ(serial->engine(i).stats().samples,
+                threaded->engine(i).stats().samples);
     }
   }
 }

@@ -326,9 +326,10 @@ TEST(QtlintLayering, DatapathAndSupportCodeMayNotIncludeRuntime) {
       count_rule(lint_content("src/driver/qtaccel_device.cpp", snippet),
                  RuleId::kLayering),
       0u);
-  EXPECT_EQ(count_rule(lint_content("bench/bench_perf_smoke.cpp", snippet),
-                       RuleId::kLayering),
-            0u);
+  EXPECT_EQ(
+      count_rule(lint_content("bench/bench_checkpoint_smoke.cpp", snippet),
+                 RuleId::kLayering),
+      0u);
 }
 
 TEST(QtlintLayering, OnlyRuntimeAndQtaccelNameConcreteBackends) {
@@ -379,9 +380,10 @@ TEST(QtlintLayering, OnlyServeIncludesServeWithinSrc) {
   EXPECT_EQ(count_rule(lint_content("tools/qtserved.cpp", snippet),
                        RuleId::kLayering),
             0u);
-  EXPECT_EQ(count_rule(lint_content("bench/bench_serve.cpp", snippet),
-                       RuleId::kLayering),
-            0u);
+  EXPECT_EQ(
+      count_rule(lint_content("bench/bench_checkpoint_smoke.cpp", snippet),
+                 RuleId::kLayering),
+      0u);
   EXPECT_EQ(count_rule(lint_content("examples/quickstart.cpp", snippet),
                        RuleId::kLayering),
             0u);
@@ -414,9 +416,10 @@ TEST(QtlintLayering, ShardSitsAboveServeAndNothingIncludesIt) {
   EXPECT_EQ(count_rule(lint_content("tools/qtrouterd.cpp", snippet),
                        RuleId::kLayering),
             0u);
-  EXPECT_EQ(count_rule(lint_content("bench/bench_shard.cpp", snippet),
-                       RuleId::kLayering),
-            0u);
+  EXPECT_EQ(
+      count_rule(lint_content("bench/bench_checkpoint_smoke.cpp", snippet),
+                 RuleId::kLayering),
+      0u);
   // And shard stays backend-generic like serve.
   EXPECT_EQ(count_rule(lint_content("src/shard/router.cpp",
                                     "#include \"qtaccel/lane_engine.h\"\n"),

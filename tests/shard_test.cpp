@@ -11,12 +11,14 @@
 //     bit-identical to a standalone engine, live migration is invisible
 //     mid-run, migrate-while-queued holds and replays in order, a
 //     double migrate is refused, a dead migration target rolls back,
-//     shard failure replays parked state bit-exactly, and drain empties
-//     a shard then shuts it down.
+//     shard failure replays parked state bit-exactly, drain empties a
+//     shard then shuts it down, and a Zipf-skewed stream over 48
+//     sessions at 1, 2 and 4 shards stays bit-exact while it migrates.
 //   - plan_rebalance / scrape_gauge planning helpers and the HTTP
 //     plane's routes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -27,6 +29,7 @@
 #include <vector>
 
 #include "env/grid_world.h"
+#include "rng/xoshiro.h"
 #include "runtime/engine.h"
 #include "runtime/snapshot.h"
 #include "serve/protocol.h"
@@ -521,6 +524,70 @@ TEST(RouterCluster, AutoMigrateForcesMovesAndStaysBitExact) {
   EXPECT_GE(cluster.router().migrations(), 3u);
   EXPECT_EQ(client.snapshot(id), replay_snapshot(spec, calls));
 }
+
+// A seeded Zipf(1) Step stream over 48 sessions at 1, 2 and 4 shards,
+// with forced migrations and periodic checkpoints. The tests above drive
+// one session, or evenly loaded ones, on two shards; here the hot head
+// hops shards many times while the tail barely moves, and every touched
+// session must still byte-match its standalone twin.
+class RouterClusterZipf : public testing::TestWithParam<unsigned> {};
+
+TEST_P(RouterClusterZipf, SkewedStreamStaysBitExactAndMigrates) {
+  const unsigned shards = GetParam();
+  RouterOptions options;
+  options.checkpoint_every = 8;
+  options.migrate_every = 16;  // Steps per session between forced hops
+  LocalCluster cluster(shards, options);
+  ClusterClient client{&cluster, 1, {}};
+
+  constexpr unsigned kSessions = 48;
+  constexpr unsigned kRequests = 2048;
+  constexpr std::uint64_t kSteps = 32;
+  // Inverse CDF over the harmonic prefix sums: rank k has weight
+  // 1/(k+1). The same stream runs in every cell; only topology varies.
+  std::vector<double> cdf;
+  double total = 0;
+  for (unsigned k = 0; k < kSessions; ++k) {
+    total += 1.0 / static_cast<double>(k + 1);
+    cdf.push_back(total);
+  }
+  rng::Xoshiro256 rng(42);
+
+  std::vector<serve::SessionId> ids(kSessions, 0);
+  std::vector<std::vector<std::uint64_t>> calls(kSessions);
+  for (unsigned i = 0; i < kRequests; ++i) {
+    // uniform() < 1, so the draw never passes cdf.back() == total.
+    const auto rank = static_cast<std::size_t>(
+        std::lower_bound(cdf.begin(), cdf.end(), rng.uniform() * total) -
+        cdf.begin());
+    if (ids[rank] == 0) ids[rank] = client.create(small_spec(200 + rank));
+    ASSERT_EQ(client.step(ids[rank], kSteps).status, serve::Status::kOk);
+    calls[rank].push_back(kSteps);
+  }
+
+  unsigned touched = 0;
+  for (std::size_t rank = 0; rank < kSessions; ++rank) {
+    if (calls[rank].empty()) continue;
+    ++touched;
+    EXPECT_EQ(client.snapshot(ids[rank]),
+              replay_snapshot(small_spec(200 + rank), calls[rank]))
+        << "rank " << rank << ", session " << ids[rank];
+  }
+  EXPECT_GE(touched, 32u);
+  EXPECT_GT(cluster.router().checkpoints(), 0u);
+  if (shards > 1) {
+    EXPECT_GT(cluster.router().migrations(), 0u);
+  } else {
+    EXPECT_EQ(cluster.router().migrations(), 0u);  // nowhere to hop
+  }
+}
+
+std::string shard_count_name(const testing::TestParamInfo<unsigned>& info) {
+  return std::to_string(info.param);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, RouterClusterZipf,
+                         testing::Values(1u, 2u, 4u), shard_count_name);
 
 // A hand-cranked two-shard fleet: unlike LocalCluster::settle() (which
 // runs every exchange to quiescence), each pump is explicit, so a test
