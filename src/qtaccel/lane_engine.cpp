@@ -8,6 +8,7 @@
 #endif
 
 #include "common/check.h"
+#include "common/mutex.h"
 #include "common/simd.h"
 #include "env/grid_world.h"
 #include "env/value_iteration.h"
@@ -24,15 +25,13 @@ namespace qta::qtaccel {
 
 namespace {
 
-// Pre-bake bounds for the {s,a} record table (EnvImage's bake rule). A
-// group-capable image bakes up to 2^24 records: the record is what lets
-// pass_addr prefetch the transition lookup, which is the whole point of
-// lane batching on latency-bound tables, so it pays for itself well
-// past cache residency. A kFast image stops where the records are still
-// cache-resident: each engine bakes its own image, so past that the
-// records' memory would be paid once per engine.
-constexpr std::uint64_t kMaxGroupRecords = std::uint64_t{1} << 24;
-constexpr std::uint64_t kMaxSoloRecords = std::uint64_t{1} << 16;
+// Pre-bake bound for the {s,a} record table (EnvImage's bake rule). The
+// record is what lets the engine prefetch a sample's transition, reward
+// and episode-end check as one line ahead of use, so it pays for itself
+// well past cache residency; and since one image serves every engine on
+// its environment, the records' memory is paid once per environment,
+// not once per engine.
+constexpr std::uint64_t kMaxRecords = std::uint64_t{1} << 24;
 
 // Back a large table with transparent huge pages when the kernel allows
 // it. The lane engine lives or dies by memory-level parallelism: on 4 KiB
@@ -385,29 +384,18 @@ void LaneEngine::Scratch::resize(std::size_t n) {
   p_hi.resize(n);
 }
 
-std::shared_ptr<const LaneEngine::EnvImage> LaneEngine::build_env_image(
-    const env::Environment& env, const PipelineConfig& config) {
-  const fixed::Format q_fmt = config.q_fmt;
-  const std::uint64_t max_records = config.backend == Backend::kFast
-                                        ? kMaxSoloRecords
-                                        : kMaxGroupRecords;
+namespace {
+
+using EnvImage = LaneEngine::EnvImage;
+
+std::shared_ptr<const EnvImage> bake_env_image(const env::Environment& env,
+                                               fixed::Format q_fmt) {
   auto image = std::make_shared<EnvImage>();
   image->env = &env;
   image->map = make_address_map(env);
   image->q_fmt = q_fmt;
   image->num_states = env.num_states();
   image->num_actions = env.num_actions();
-  image->reward.assign(image->map.depth(), 0);
-  // Host-side initialization boundary: quantizing the environment's
-  // double rewards into the BRAM image, exactly as Pipeline::init_tables.
-  // qtlint: push-allow(datapath-purity)
-  for (StateId s = 0; s < env.num_states(); ++s) {
-    for (ActionId a = 0; a < env.num_actions(); ++a) {
-      image->reward[image->map.q_addr(s, a)] =
-          fixed::from_double(env.reward(s, a), q_fmt);
-    }
-  }
-  // qtlint: pop-allow(datapath-purity)
   image->terminal.assign(env.num_states(), 0);
   for (StateId s = 0; s < env.num_states(); ++s) {
     image->terminal[s] = env.is_terminal(s) ? 1 : 0;
@@ -416,23 +404,106 @@ std::shared_ptr<const LaneEngine::EnvImage> LaneEngine::build_env_image(
   if (image->noise_bits == 0) {
     image->grid = dynamic_cast<const env::GridWorld*>(&env);
   }
-  if (image->noise_bits == 0 && image->grid == nullptr &&
-      env.table_size() <= max_records) {
+  const bool records = image->noise_bits == 0 && image->grid == nullptr &&
+                       env.table_size() <= kMaxRecords;
+  if (records) {
     image->sa.resize(env.table_size());
-    for (StateId s = 0; s < env.num_states(); ++s) {
-      for (ActionId a = 0; a < env.num_actions(); ++a) {
-        const std::uint64_t addr = image->map.q_addr(s, a);
+  } else {
+    image->reward.assign(image->map.depth(), 0);
+  }
+  // Host-side initialization boundary: quantizing the environment's
+  // double rewards into the BRAM image, exactly as Pipeline::init_tables.
+  // qtlint: push-allow(datapath-purity)
+  for (StateId s = 0; s < env.num_states(); ++s) {
+    for (ActionId a = 0; a < env.num_actions(); ++a) {
+      const std::uint64_t addr = image->map.q_addr(s, a);
+      const fixed::raw_t reward = fixed::from_double(env.reward(s, a), q_fmt);
+      if (records) {
         const StateId next = env.transition(s, a);
-        image->sa[addr].reward = image->reward[addr];
-        image->sa[addr].next = next;
-        image->sa[addr].next_terminal = image->terminal[next];
+        image->sa[addr] = {reward, next, image->terminal[next]};
+      } else {
+        image->reward[addr] = reward;
       }
     }
   }
+  // qtlint: pop-allow(datapath-purity)
   advise_huge_pages(image->reward);
   advise_huge_pages(image->terminal);
   advise_huge_pages(image->sa);
   return image;
+}
+
+// The process-wide image cache behind build_env_image (the sharing rule
+// is in EnvImage's comment). Weak references only: an image lives
+// exactly as long as some engine holds it. There is one live image per
+// environment and Q format in use, few enough for a flat vector.
+class EnvImageCache {
+ public:
+  std::shared_ptr<const EnvImage> find(const env::Environment& env,
+                                       fixed::Format q_fmt) {
+    MutexLock lock(mu_);
+    for (const Entry& e : entries_) {
+      if (e.env == &env && e.q_fmt == q_fmt) return e.image.lock();
+    }
+    return nullptr;
+  }
+
+  /// Publishes `fresh`, or returns the live image another thread
+  /// published for the same key while `fresh` was baking.
+  std::shared_ptr<const EnvImage> insert(
+      const std::shared_ptr<const EnvImage>& fresh) {
+    MutexLock lock(mu_);
+    std::erase_if(entries_,
+                  [](const Entry& e) { return e.image.expired(); });
+    for (Entry& e : entries_) {
+      if (e.env != fresh->env || e.q_fmt != fresh->q_fmt) continue;
+      if (std::shared_ptr<const EnvImage> live = e.image.lock()) {
+        return live;
+      }
+      e.image = fresh;  // its last holder let go after the prune
+      return fresh;
+    }
+    entries_.push_back({fresh->env, fresh->q_fmt, fresh});
+    return fresh;
+  }
+
+  std::size_t entries() {
+    MutexLock lock(mu_);
+    return entries_.size();
+  }
+
+ private:
+  struct Entry {
+    const env::Environment* env = nullptr;
+    fixed::Format q_fmt;
+    std::weak_ptr<const EnvImage> image;
+  };
+
+  Mutex mu_;
+  std::vector<Entry> entries_ QTA_GUARDED_BY(mu_);
+};
+
+EnvImageCache& env_image_cache() {
+  // Never destroyed: no destructor runs at exit, and an engine built
+  // during another object's static destruction still finds the cache.
+  static EnvImageCache* const cache = new EnvImageCache();
+  return *cache;
+}
+
+}  // namespace
+
+std::shared_ptr<const LaneEngine::EnvImage> LaneEngine::build_env_image(
+    const env::Environment& env, const PipelineConfig& config) {
+  EnvImageCache& cache = env_image_cache();
+  if (std::shared_ptr<const EnvImage> live = cache.find(env, config.q_fmt)) {
+    return live;
+  }
+  // Bake outside the lock: a large table takes seconds.
+  return cache.insert(bake_env_image(env, config.q_fmt));
+}
+
+std::size_t LaneEngine::env_image_cache_entries() {
+  return env_image_cache().entries();
 }
 
 bool LaneEngine::compatible(const PipelineConfig& a,
@@ -502,14 +573,7 @@ void LaneEngine::init_lanes(const std::vector<LaneSpec>& lanes) {
         "product would overflow the 64-bit accumulator");
 
     config_.push_back(spec.config);
-    if (spec.image != nullptr) {
-      QTA_CHECK_MSG(spec.image->env == spec.env &&
-                        spec.image->q_fmt == spec.config.q_fmt,
-                    "donated environment image does not match the lane");
-      image_.push_back(spec.image);
-    } else {
-      image_.push_back(build_env_image(*spec.env, spec.config));
-    }
+    image_.push_back(build_env_image(*spec.env, spec.config));
     map_.push_back(image_.back()->map);
     coeff_.push_back(make_coefficients(spec.config));
     eps_threshold_.push_back(epsilon_threshold(

@@ -70,22 +70,32 @@ namespace qta::qtaccel {
 
 class LaneEngine {
  public:
-  /// The environment-derived constants of one lane: quantized rewards,
-  /// terminal flags, optional pre-baked transitions. Building one bakes
-  /// the reward table (O(|S|*|A|) host-side conversions), so images are
-  /// shared: a lane constructed from a donor engine reuses the donor's
-  /// image instead of re-baking per batch. The image borrows `env`; the
-  /// environment must outlive every engine holding the image.
+  /// The environment-derived constants of one lane: terminal flags plus
+  /// either pre-baked transition records or the quantized reward table.
+  /// Like the paper's reward BRAM and transition block, an image is a
+  /// constant of its environment, which replicated pipelines read and do
+  /// not copy: build_env_image returns the live image for (&env, q_fmt)
+  /// while any engine still holds one, so every engine on one
+  /// environment (solo engines of either functional kind and lane
+  /// groups alike) reads one image, baked once. The image borrows `env`;
+  /// the environment must outlive every engine holding the image.
   ///
-  /// Bake rule: deterministic environments other than GridWorld (whose
-  /// transition inlines) get the `sa` record table, up to a bound set by
-  /// config.backend; past it the engine calls the environment. A
-  /// Backend::kFast image stops at 2^16 pairs (1 MiB, cache-resident):
-  /// every engine bakes its own image, so a larger table would cost
-  /// 16 B per pair per engine (four 2^23-pair learners: 512 MiB more).
-  /// Every other image bakes up to 2^24 pairs (256 MiB), because a
-  /// group's pass_addr prefetches the record a phase ahead of use and
-  /// the group shares its donors' images.
+  /// Bake rule, one for every engine: deterministic environments other
+  /// than GridWorld (whose transition inlines) get the `sa` record table
+  /// up to 2^24 pairs (256 MiB), because the engine prefetches a record
+  /// ahead of use (a phase ahead on the group schedule, an iteration
+  /// ahead on the solo one). The records carry the reward, so such an
+  /// image holds no `reward`: 16 B per pair. Every other image holds
+  /// `reward` (8 B per pair), and the engine calls the environment for
+  /// transitions. Both also hold `terminal` (1 B per state).
+  ///
+  /// The sharing lives in a process-wide cache of weak references
+  /// behind one mutex, which is not held across a bake. Two threads that
+  /// miss at once may both bake; the second to publish adopts the
+  /// first's image and drops its own. Entries whose image died are
+  /// pruned on every insert, so right after an insert the cache holds
+  /// one entry per live image, and between inserts no more entries than
+  /// it held then (env_image_cache_entries() reads the count).
   struct EnvImage {
     /// Interleaved per-{s,a} record: the reward and the pre-baked next
     /// state live on the same cache line (and the same TLB page), so a
@@ -108,19 +118,18 @@ class LaneEngine {
     fixed::Format q_fmt;
     StateId num_states = 0;
     ActionId num_actions = 0;
-    std::vector<fixed::raw_t> reward;
+    std::vector<fixed::raw_t> reward;  // empty when `sa` is baked
     std::vector<std::uint8_t> terminal;
     std::vector<SaRecord> sa;  // empty => compute transitions
   };
   static std::shared_ptr<const EnvImage> build_env_image(
       const env::Environment& env, const PipelineConfig& config);
+  /// Entries in the image cache, live or not yet pruned.
+  static std::size_t env_image_cache_entries();
 
   struct LaneSpec {
     const env::Environment* env = nullptr;
     PipelineConfig config;
-    /// Reuse a donor's image (must match env and config.q_fmt); built
-    /// from `env` when null.
-    std::shared_ptr<const EnvImage> image;
     /// Skip table allocation: the caller put_state()s a donated
     /// MachineState before the first run (the lane-coalescing path).
     bool defer_tables = false;

@@ -105,10 +105,11 @@ class PipelineBackend final : public QrlBackend {
 
 // A one-lane LaneEngine behind the standard backend surface, for both
 // functional kinds (config.backend is kFast or kLanes). Alone, the
-// engine always runs the solo schedule. The kinds differ in two ways
-// only: what the environment image bakes (LaneEngine::EnvImage), and
-// the lane_batched capability — a kLanes engine's state can move into
-// a multi-lane group and back in O(1) (runtime/lane_coalescer.h), so
+// engine always runs the solo schedule, on the environment image it
+// shares with every other engine on its environment
+// (LaneEngine::EnvImage). The kinds differ in one way only: the
+// lane_batched capability — a kLanes engine's state can move into a
+// multi-lane group and back in O(1) (runtime/lane_coalescer.h), so
 // batches of same-shape sessions advance together; a kFast engine
 // never joins a group.
 class LaneEngineBackend final : public QrlBackend {

@@ -36,8 +36,7 @@ LaneGroupRunner::LaneGroupRunner(std::vector<Engine*> engines)
     qtaccel::LaneEngine::LaneSpec spec;
     spec.env = &e->environment();
     spec.config = e->config();
-    spec.image = donor->env_image(0);  // share the donor's baked image
-    spec.defer_tables = true;          // tables arrive via put_state
+    spec.defer_tables = true;  // tables arrive via put_state
     specs.push_back(std::move(spec));
     states.push_back(donor->take_state(0));
   }

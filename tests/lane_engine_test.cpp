@@ -6,16 +6,19 @@
 // checks that one against Pipeline and GoldenModel). Covered: every
 // (algorithm, qmax mode, hazard mode) shape, obstacle grids, the
 // slippery grid's LFSR transition noise, the hazard-dense ring and
-// self-loop MDPs, a RandomMdp past the kFast bake bound, mixed-shape
+// self-loop MDPs, a record-baked RandomMdp against Pipeline, mixed-shape
 // lane groups, mid-run save/load, and the take_state/put_state donation
 // protocol the runtime's lane coalescer uses. The runtime-level
-// coalescing itself (Engine fleets and LaneGroupRunner round trips) is
-// covered at the bottom.
+// coalescing itself (Engine fleets and LaneGroupRunner round trips) and
+// the environment-image cache are covered at the bottom.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <deque>
+#include <latch>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "env/grid_world.h"
@@ -91,6 +94,17 @@ constexpr ConfigShape kShapes[] = {
     {Algorithm::kDoubleQ, QmaxMode::kExactScan, HazardMode::kStall,
      "dq_stall"},
 };
+
+// Pipeline and LaneEngine leave different values in the walk registers
+// once an episode has ended: the next iteration redraws the start state
+// and the behavior action, so a comparison across the two masks them.
+MachineState mask_dead_walk(MachineState ms) {
+  if (ms.episode_start) {
+    ms.state = 0;
+    ms.pending_action = kInvalidAction;
+  }
+  return ms;
+}
 
 // The solo reference's config: a one-lane engine of the kFast kind.
 PipelineConfig as_fast(PipelineConfig cfg) {
@@ -204,10 +218,12 @@ TEST(LaneEngineDifferential, MatchesFastEngineUnderForwardingPressure) {
   }
 }
 
-// Past 2^16 {s,a} pairs the bake rule splits: a kLanes image carries the
+// A deterministic environment other than GridWorld bakes the
 // interleaved record table (transition, reward and next-terminal in one
-// line), a kFast image calls the environment. Groups, solo kLanes
-// engines and solo kFast engines must still agree bit for bit.
+// line), one image for every engine on it; Pipeline calls the
+// environment on every sample. On one 2^17-pair MDP the record-baked
+// group, solo kFast engines and solo kLanes engines must all land
+// exactly where Pipeline does.
 TEST(LaneEngineDifferential, RecordTableMatchesEnvironmentCalls) {
   env::RandomMdpConfig mdp;
   mdp.num_states = StateId{1} << 15;  // 2^17 pairs
@@ -235,15 +251,24 @@ TEST(LaneEngineDifferential, RecordTableMatchesEnvironmentCalls) {
     for (std::size_t i = 0; i < specs.size(); ++i) {
       const std::string tag =
           std::string(shape.name) + " lane " + std::to_string(i);
+      Pipeline reference(mdp_env, specs[i].config);
+      reference.run_samples(targets[i]);
+      const MachineState want = mask_dead_walk(reference.save_state());
+      expect_state_eq(want, mask_dead_walk(group.save_state(i)),
+                      tag + " (group)");
+
       LaneEngine solo_fast(mdp_env, as_fast(specs[i].config));
-      ASSERT_TRUE(solo_fast.env_image(0)->sa.empty()) << tag;
       solo_fast.run_samples(0, targets[i]);
-      expect_state_eq(solo_fast.save_state(0), group.save_state(i), tag);
+      expect_state_eq(want, mask_dead_walk(solo_fast.save_state(0)),
+                      tag + " (solo kFast)");
 
       LaneEngine solo_lanes(mdp_env, specs[i].config);
       solo_lanes.run_samples(0, targets[i]);
-      expect_state_eq(solo_fast.save_state(0), solo_lanes.save_state(0),
-                      tag + " (solo records)");
+      expect_state_eq(want, mask_dead_walk(solo_lanes.save_state(0)),
+                      tag + " (solo kLanes)");
+      // Among the functional engines every register must agree.
+      expect_state_eq(group.save_state(i), solo_fast.save_state(0),
+                      tag + " (group vs solo kFast)");
     }
   }
 }
@@ -360,12 +385,15 @@ TEST(LaneEngineState, TakeAndPutStateDonationIsBitInvisible) {
       LaneEngine::LaneSpec spec;
       spec.env = &small;
       spec.config = cfgs[i];
-      spec.image = singles[i]->env_image(0);
       spec.defer_tables = true;
       specs.push_back(spec);
       states.push_back(singles[i]->take_state(0));
     }
     LaneEngine group(specs);
+    for (std::size_t i = 0; i < singles.size(); ++i) {
+      EXPECT_EQ(group.env_image(i).get(), singles[i]->env_image(0).get())
+          << "lane " << i << " re-baked its donor's image";
+    }
     for (std::size_t i = 0; i < states.size(); ++i) {
       group.put_state(i, std::move(states[i]));
     }
@@ -464,8 +492,13 @@ TEST(LaneCoalescer, GroupRunnerRoundTripIsBitInvisible) {
   ASSERT_FALSE(runtime::can_coalesce(*members[0], *solos[0]));
 
   const std::vector<std::uint64_t> steps = {1000, 2000, 1500, 3000};
+  const std::shared_ptr<const LaneEngine::EnvImage> small_image =
+      members[0]->lane_engine()->env_image(0);
+  const long small_holders = small_image.use_count();
   {
     runtime::LaneGroupRunner runner(members);
+    // The group's two lanes on `small` hold their donors' image.
+    EXPECT_EQ(small_image.use_count(), small_holders + 2);
     runner.run_steps(steps);
   }
   for (std::size_t i = 0; i < solos.size(); ++i) {
@@ -492,6 +525,162 @@ TEST(LaneCoalescer, GroupRunnerRoundTripIsBitInvisible) {
       }
     }
   }
+}
+
+constexpr Algorithm kAlgorithms[] = {Algorithm::kQLearning, Algorithm::kSarsa,
+                                     Algorithm::kExpectedSarsa,
+                                     Algorithm::kDoubleQ};
+
+// Every functional engine on one environment reads one image, whatever
+// its kind or algorithm; another Q format quantizes rewards differently,
+// so it gets its own image.
+TEST(EnvImageCache, EnginesOnOneEnvironmentShareOneImage) {
+  env::GridWorld grid(grid_cfg(32, 32, 4));
+  env::RandomMdpConfig mdp;
+  mdp.num_states = 1024;
+  mdp.num_actions = 4;
+  mdp.seed = 3;
+  env::RandomMdp mdp_env(mdp);
+  for (const env::Environment* env :
+       {static_cast<const env::Environment*>(&grid),
+        static_cast<const env::Environment*>(&mdp_env)}) {
+    std::vector<std::unique_ptr<runtime::Engine>> engines;
+    for (const Backend kind : {Backend::kFast, Backend::kLanes}) {
+      for (const Algorithm algo : kAlgorithms) {
+        PipelineConfig cfg;
+        cfg.algorithm = algo;
+        cfg.backend = kind;
+        engines.push_back(std::make_unique<runtime::Engine>(*env, cfg));
+      }
+    }
+    const LaneEngine::EnvImage* shared =
+        engines.front()->lane_engine()->env_image(0).get();
+    for (const auto& e : engines) {
+      EXPECT_EQ(e->lane_engine()->env_image(0).get(), shared)
+          << qtaccel::backend_name(e->config().backend) << " "
+          << qtaccel::algorithm_name(e->config().algorithm);
+    }
+
+    PipelineConfig wide;
+    wide.backend = Backend::kFast;
+    wide.q_fmt = fixed::Format{24, 12};
+    runtime::Engine other(*env, wide);
+    const LaneEngine::EnvImage& other_image =
+        *other.lane_engine()->env_image(0);
+    EXPECT_NE(&other_image, shared);
+    EXPECT_EQ(other_image.q_fmt, wide.q_fmt);
+  }
+}
+
+// One bake rule for every engine: a deterministic non-grid environment
+// gets records and no separate reward array; a GridWorld (inlined
+// transitions) and a slippery grid (LFSR noise) get the reward array.
+TEST(EnvImageCache, BakeRuleFollowsTheEnvironmentNotTheEngine) {
+  env::RandomMdpConfig mdp;
+  mdp.num_states = StateId{1} << 15;  // 2^17 pairs
+  mdp.num_actions = 4;
+  mdp.seed = 5;
+  env::RandomMdp mdp_env(mdp);
+  env::GridWorld grid(grid_cfg(32, 32, 4));
+  env::GridWorldConfig slip_cfg;
+  slip_cfg.width = 4;
+  slip_cfg.height = 4;
+  slip_cfg.num_actions = 4;
+  slip_cfg.slip_probability = 0.3;
+  env::GridWorld slip(slip_cfg);
+
+  for (const Backend kind : {Backend::kFast, Backend::kLanes}) {
+    PipelineConfig cfg;
+    cfg.backend = kind;
+    const std::string tag = qtaccel::backend_name(kind);
+    {
+      LaneEngine engine(mdp_env, cfg);
+      const LaneEngine::EnvImage& image = *engine.env_image(0);
+      EXPECT_EQ(image.sa.size(), mdp_env.table_size()) << tag;
+      EXPECT_TRUE(image.reward.empty()) << tag;
+      EXPECT_EQ(image.terminal.size(), mdp_env.num_states()) << tag;
+    }
+    for (const env::GridWorld* g : {&grid, &slip}) {
+      LaneEngine engine(*g, cfg);
+      const LaneEngine::EnvImage& image = *engine.env_image(0);
+      EXPECT_TRUE(image.sa.empty()) << tag;
+      EXPECT_EQ(image.reward.size(), image.map.depth()) << tag;
+    }
+  }
+}
+
+// An image lives exactly as long as some engine holds it; its cache
+// entry goes at the next insert.
+TEST(EnvImageCache, ImageDiesWithItsLastHolder) {
+  env::GridWorld first(grid_cfg(16, 16, 4));
+  env::GridWorld second(grid_cfg(16, 16, 4));
+  PipelineConfig cfg;
+  std::weak_ptr<const LaneEngine::EnvImage> image;
+  {
+    auto a = std::make_unique<LaneEngine>(first, cfg);
+    // The insert pruned every dead entry: only this image is live.
+    EXPECT_EQ(LaneEngine::env_image_cache_entries(), 1u);
+    auto b = std::make_unique<LaneEngine>(first, cfg);
+    EXPECT_EQ(LaneEngine::env_image_cache_entries(), 1u);  // a hit
+    image = a->env_image(0);
+    a.reset();
+    EXPECT_FALSE(image.expired()) << "b still holds the image";
+  }
+  EXPECT_TRUE(image.expired()) << "the image outlived its last holder";
+  LaneEngine c(second, cfg);
+  EXPECT_EQ(LaneEngine::env_image_cache_entries(), 1u)
+      << "the dead entry survived an insert";
+}
+
+// The header's bound: building and destroying engines on 1,000
+// distinct environments never leaves more entries than live images.
+// Every environment stays alive, so no address repeats, and a missing
+// prune would leave one dead entry per environment.
+TEST(EnvImageCache, EntriesNeverOutnumberLiveImages) {
+  constexpr std::size_t kEnvs = 1000;
+  constexpr std::size_t kLive = 4;
+  std::vector<std::unique_ptr<env::GridWorld>> envs;
+  for (std::size_t i = 0; i < kEnvs; ++i) {
+    envs.push_back(std::make_unique<env::GridWorld>(grid_cfg(4, 4, 4)));
+  }
+  PipelineConfig cfg;
+  std::deque<std::unique_ptr<LaneEngine>> live;
+  for (std::size_t i = 0; i < kEnvs; ++i) {
+    if (live.size() == kLive) live.pop_front();
+    live.push_back(std::make_unique<LaneEngine>(*envs[i], cfg));
+    ASSERT_LE(LaneEngine::env_image_cache_entries(), live.size())
+        << "after environment " << i;
+  }
+}
+
+// Eight threads miss the cache at once: however their bakes and inserts
+// interleave, every engine ends up on the one published image. The
+// table is large enough (2^19 pairs) that the bakes overlap.
+TEST(EnvImageCache, ConcurrentBuildsShareOneImage) {
+  env::RandomMdpConfig mdp;
+  mdp.num_states = StateId{1} << 17;
+  mdp.num_actions = 4;
+  mdp.seed = 9;
+  env::RandomMdp mdp_env(mdp);
+  PipelineConfig cfg;
+  cfg.backend = Backend::kFast;
+
+  constexpr std::size_t kThreads = 8;
+  std::vector<std::unique_ptr<LaneEngine>> engines(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      engines[t] = std::make_unique<LaneEngine>(mdp_env, cfg);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (std::size_t t = 1; t < kThreads; ++t) {
+    EXPECT_EQ(engines[t]->env_image(0).get(), engines[0]->env_image(0).get())
+        << "thread " << t;
+  }
+  EXPECT_EQ(LaneEngine::env_image_cache_entries(), 1u);
 }
 
 }  // namespace
