@@ -61,8 +61,8 @@ class QtAccelDevice {
   const runtime::Engine* engine() const { return engine_.get(); }
 
   /// The cycle-accurate pipeline behind the CSRs, or nullptr when no
-  /// engine is running or the fast backend is selected — probe, don't
-  /// assume (engine()->caps() says what the backend can do).
+  /// engine is running or a functional backend is selected — probe,
+  /// don't assume.
   const qtaccel::Pipeline* cycle_pipeline() const {
     return engine_ ? engine_->cycle_pipeline() : nullptr;
   }

@@ -135,8 +135,8 @@ class LaneEngine {
     bool defer_tables = false;
   };
 
-  /// Single-lane engine (the kFast and kLanes backend adapter): lane 0
-  /// only, so every run takes the solo schedule.
+  /// Single-lane engine (what runtime::Engine builds for kFast and
+  /// kLanes): lane 0 only, so every run takes the solo schedule.
   LaneEngine(const env::Environment& env, const PipelineConfig& config);
   /// Lane group; aborts unless every lane is compatible() with lane 0.
   explicit LaneEngine(const std::vector<LaneSpec>& lanes);

@@ -1,119 +1,109 @@
 // runtime::Engine — the value-typed front door of the runtime layer.
 //
-// One construction surface over every registered backend: the config's
-// Backend field picks the implementation through the registry
-// (runtime/backend_registry.h), and everything above this layer — driver,
-// trainer, table IO, examples, benches — programs against this class or
-// the QrlBackend interface it owns.
+// One Engine is one accelerator instance — the paper's machine — run by
+// the executor its config's Backend field names: the cycle-accurate
+// qtaccel::Pipeline (kCycleAccurate), or a one-lane functional
+// qtaccel::LaneEngine (kFast and kLanes). Both retire bit-identical
+// traces, tables and snapshots; they differ in what the host pays per
+// sample and in the observation surfaces only the Pipeline has
+// (waveforms, per-cycle telemetry CycleEvents, Bram port auditing,
+// tick-level stepping). Everything above this layer — driver, trainer,
+// table IO, serving, examples, benches — programs against this class.
 //
-//   runtime::Engine engine(env, cfg);      // cfg.backend picks the impl
+//   runtime::Engine engine(env, cfg);      // cfg.backend picks the executor
 //   engine.run_samples(1'000'000);
 //   if (qtaccel::Pipeline* p = engine.cycle_pipeline()) { ... waveforms }
 //
-// cycle_pipeline() is nullable, not aborting: callers that need a
-// cycle-only surface (waveforms, Bram port stats, tick-level stepping)
-// probe backend().has_waveforms() / has_port_audit() or null-test the
-// pointer, and degrade gracefully on the fast backend.
+// cycle_pipeline() and lane_engine() are nullable, not aborting: callers
+// that need a cycle-only surface null-test cycle_pipeline() and degrade
+// gracefully on the functional kinds.
+//
+// Layering rule (enforced by qtlint's layering DAG): only src/runtime
+// and src/qtaccel include the executors' headers. This header includes
+// qtaccel/pipeline.h so callers of cycle_pipeline() see the Pipeline.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "runtime/backend.h"
+#include "env/environment.h"
+#include "qtaccel/config.h"
+#include "qtaccel/machine_state.h"
+#include "qtaccel/pipeline.h"
+#include "qtaccel/qmax_unit.h"
+#include "telemetry/sink.h"
+
+namespace qta::qtaccel {
+class LaneEngine;  // runtime/lane_coalescer.h migrates state through it
+}  // namespace qta::qtaccel
 
 namespace qta::runtime {
 
 class Engine {
  public:
-  /// `env` must outlive the engine. Builds the backend `config.backend`
-  /// selects via the registry.
+  /// `env` must outlive the engine. Builds the executor `config.backend`
+  /// selects.
   Engine(const env::Environment& env, const qtaccel::PipelineConfig& config);
+  ~Engine();
 
-  /// The backend behind this engine — capability queries live here
-  /// (backend().has_waveforms() and friends).
-  QrlBackend& backend() { return *backend_; }
-  const QrlBackend& backend() const { return *backend_; }
-  qtaccel::Backend backend_kind() const { return backend_->kind(); }
-  BackendCaps caps() const { return backend_->caps(); }
+  void run_iterations(std::uint64_t n);
+  void run_samples(std::uint64_t n);
 
-  void run_iterations(std::uint64_t n) { backend_->run_iterations(n); }
-  void run_samples(std::uint64_t n) { backend_->run_samples(n); }
+  const qtaccel::PipelineStats& stats() const;
+  void set_trace(std::vector<qtaccel::SampleTrace>* trace);
+  void set_telemetry(telemetry::TelemetrySink* sink);
 
-  const qtaccel::PipelineStats& stats() const { return backend_->stats(); }
-  void set_trace(std::vector<qtaccel::SampleTrace>* trace) {
-    backend_->set_trace(trace);
-  }
-  void set_telemetry(telemetry::TelemetrySink* sink) {
-    backend_->set_telemetry(sink);
-  }
-
-  fixed::raw_t q_raw(StateId s, ActionId a) const {
-    return backend_->q_raw(s, a);
-  }
+  fixed::raw_t q_raw(StateId s, ActionId a) const;
   // qtlint: allow(datapath-purity)
-  double q_value(StateId s, ActionId a) const {
-    return backend_->q_value(s, a);
-  }
-  fixed::raw_t q2_raw(StateId s, ActionId a) const {
-    return backend_->q2_raw(s, a);
-  }
+  double q_value(StateId s, ActionId a) const;
+  fixed::raw_t q2_raw(StateId s, ActionId a) const;
   // qtlint: allow(datapath-purity)
-  std::vector<double> q_as_double() const { return backend_->q_as_double(); }
-  std::vector<ActionId> greedy_policy() const {
-    return backend_->greedy_policy();
-  }
-  qtaccel::QmaxUnit::Entry qmax_entry(StateId s) const {
-    return backend_->qmax_entry(s);
-  }
+  std::vector<double> q_as_double() const;
+  std::vector<ActionId> greedy_policy() const;
+  qtaccel::QmaxUnit::Entry qmax_entry(StateId s) const;
 
-  void preset_q(StateId s, ActionId a, fixed::raw_t value) {
-    backend_->preset_q(s, a, value);
-  }
-  void rebuild_qmax() { backend_->rebuild_qmax(); }
-  std::uint64_t dsp_saturations() const {
-    return backend_->dsp_saturations();
-  }
+  void preset_q(StateId s, ActionId a, fixed::raw_t value);
+  void rebuild_qmax();
+  std::uint64_t dsp_saturations() const;
 
-  /// Complete machine state; serialize it with runtime/snapshot.h.
-  qtaccel::MachineState save_state() const { return backend_->save_state(); }
-  void load_state(const qtaccel::MachineState& ms) {
-    backend_->load_state(ms);
-  }
+  /// Complete machine state (qtaccel/machine_state.h); serialize it with
+  /// runtime/snapshot.h. A state saved here restores on any kind of the
+  /// same config. Once an episode has ended (episode_start), the walk
+  /// registers are dead — the next iteration redraws both — and the
+  /// executors leave different values in them, so they are reported in
+  /// one canonical form: state 0, pending_action kInvalidAction.
+  qtaccel::MachineState save_state() const;
+  void load_state(const qtaccel::MachineState& ms);
 
-  /// Dirty-row epoch control for delta checkpoints (see
-  /// QrlBackend::reset_dirty_rows/dirty_row_count in runtime/backend.h).
-  void reset_dirty_rows() { backend_->reset_dirty_rows(); }
-  std::uint64_t dirty_row_count() const {
-    return backend_->dirty_row_count();
-  }
+  /// Dirty-row epoch control for delta checkpoints (qtaccel/
+  /// machine_state.h DirtyRows). reset_dirty_rows() starts a fresh epoch
+  /// after a full checkpoint; dirty_row_count() is the rows a delta
+  /// since that epoch would carry, collapsing to num_states while
+  /// tracking is conservative (fresh engine, adopted unknown state,
+  /// rebuild_qmax) — callers use it to decide delta vs full without
+  /// serializing anything.
+  void reset_dirty_rows();
+  std::uint64_t dirty_row_count() const;
 
-  const env::Environment& environment() const {
-    return backend_->environment();
-  }
-  const qtaccel::PipelineConfig& config() const {
-    return backend_->config();
-  }
-  const qtaccel::AddressMap& address_map() const {
-    return backend_->address_map();
-  }
+  const env::Environment& environment() const;
+  const qtaccel::PipelineConfig& config() const;
+  const qtaccel::AddressMap& address_map() const;
 
-  /// The cycle-accurate pipeline, or nullptr on backends without one.
-  qtaccel::Pipeline* cycle_pipeline() { return backend_->cycle_pipeline(); }
-  const qtaccel::Pipeline* cycle_pipeline() const {
-    return backend_->cycle_pipeline();
-  }
+  /// The cycle-accurate pipeline (kCycleAccurate), else nullptr.
+  qtaccel::Pipeline* cycle_pipeline() { return pipe_.get(); }
+  const qtaccel::Pipeline* cycle_pipeline() const { return pipe_.get(); }
 
-  /// The lane engine, or nullptr on backends without one (see
-  /// runtime/lane_coalescer.h for the only intended caller; whether it
-  /// may join a group is caps().lane_batched).
-  qtaccel::LaneEngine* lane_engine() { return backend_->lane_engine(); }
-  const qtaccel::LaneEngine* lane_engine() const {
-    return backend_->lane_engine();
-  }
+  /// The one-lane lane engine (kFast and kLanes), else nullptr.
+  /// runtime/lane_coalescer.h donates a kLanes engine's state through it
+  /// into a lane group (take_state/put_state) without copying tables.
+  qtaccel::LaneEngine* lane_engine() { return lanes_.get(); }
+  const qtaccel::LaneEngine* lane_engine() const { return lanes_.get(); }
 
  private:
-  std::unique_ptr<QrlBackend> backend_;
+  // Exactly one is non-null.
+  std::unique_ptr<qtaccel::Pipeline> pipe_;
+  std::unique_ptr<qtaccel::LaneEngine> lanes_;
 };
 
 }  // namespace qta::runtime

@@ -11,7 +11,7 @@
 namespace qta::runtime {
 
 bool is_lane_backend(const Engine& engine) {
-  return engine.caps().lane_batched;
+  return engine.config().backend == qtaccel::Backend::kLanes;
 }
 
 bool can_coalesce(const Engine& a, const Engine& b) {

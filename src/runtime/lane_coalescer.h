@@ -36,8 +36,8 @@ class TraceSession;
 
 namespace qta::runtime {
 
-/// True when `engine` runs the lanes backend (caps().lane_batched: its
-/// state can migrate into a lane group in O(1)).
+/// True when `engine` runs the lanes backend (config().backend is
+/// kLanes): its state can migrate into a lane group in O(1).
 bool is_lane_backend(const Engine& engine);
 
 /// True when `a` and `b` may share one lane group: both lane-backed and

@@ -168,7 +168,6 @@ bool SessionManager::should_park_delta(const Session& s) const {
     return false;  // compaction: rebase the chain on a full image
   }
   const runtime::Engine& e = *s.engine;
-  if (!e.caps().dirty_rows) return false;
   // Byte estimates from the v3 grammar (docs/runtime.md): a delta row
   // is its state id + the padded Q row(s) + the Qmax entry; a full
   // image is every table word. Headers/registers are common to both,

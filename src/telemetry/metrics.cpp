@@ -31,25 +31,6 @@ std::uint64_t Histogram::slot_upper_bound(unsigned slot) {
   return (std::uint64_t{1} << slot) - 1;
 }
 
-std::uint64_t histogram_percentile_upper_bound(const Histogram& h, double q) {
-  const std::uint64_t total = h.count();
-  if (total == 0) return 0;
-  if (q < 0.0) q = 0.0;
-  if (q > 1.0) q = 1.0;
-  // Rank of the q-quantile observation, 1-based, ceil(q * total) per the
-  // nearest-rank definition (rank 0 maps to 1 so q=0 is the minimum).
-  std::uint64_t rank =
-      static_cast<std::uint64_t>(q * static_cast<double>(total));
-  if (static_cast<double>(rank) < q * static_cast<double>(total)) ++rank;
-  if (rank == 0) rank = 1;
-  std::uint64_t cumulative = 0;
-  for (unsigned i = 0; i < Histogram::kSlots; ++i) {
-    cumulative += h.slot_count(i);
-    if (cumulative >= rank) return Histogram::slot_upper_bound(i);
-  }
-  return Histogram::slot_upper_bound(Histogram::kSlots - 1);
-}
-
 Counter& MetricsRegistry::counter(const std::string& name,
                                   const Labels& labels,
                                   const std::string& help) {

@@ -88,13 +88,6 @@ class Histogram {
   std::atomic<std::uint64_t> sum_{0};
 };
 
-/// Upper bound of the bucket containing the q-quantile observation
-/// (q in [0,1]), i.e. the le="..." a Prometheus histogram_quantile
-/// would report for this log2 bucketing. Returns 0 for an empty
-/// histogram. Report-only: a bucket upper bound, not an interpolated
-/// value, so a p99 reads 127 or 255 and nothing in between.
-std::uint64_t histogram_percentile_upper_bound(const Histogram& h, double q);
-
 /// Owns every instrument; one series per (name, labels) pair.
 class MetricsRegistry {
  public:

@@ -18,8 +18,11 @@
 #include "env/grid_world.h"
 #include "env/random_mdp.h"
 #include "qtaccel/golden_model.h"
+#include "qtaccel/lane_engine.h"
 #include "qtaccel/pipeline.h"
 #include "runtime/engine.h"
+#include "runtime/lane_coalescer.h"
+#include "runtime/snapshot.h"
 
 namespace qta::qtaccel {
 namespace {
@@ -378,8 +381,8 @@ TEST(EngineFacade, BackendsProduceIdenticalResults) {
   config.backend = Backend::kFast;
   runtime::Engine fast(*environment, config);
 
-  EXPECT_EQ(cycle.backend_kind(), Backend::kCycleAccurate);
-  EXPECT_EQ(fast.backend_kind(), Backend::kFast);
+  EXPECT_EQ(cycle.config().backend, Backend::kCycleAccurate);
+  EXPECT_EQ(fast.config().backend, Backend::kFast);
 
   cycle.run_samples(8000);
   fast.run_samples(8000);
@@ -391,38 +394,87 @@ TEST(EngineFacade, BackendsProduceIdenticalResults) {
   for (std::size_t i = 0; i < want.size(); ++i) {
     ASSERT_EQ(want[i], got[i]) << "q_as_double divergence at " << i;
   }
+  for (StateId s = 0; s < environment->num_states(); ++s) {
+    for (ActionId a = 0; a < environment->num_actions(); ++a) {
+      ASSERT_EQ(cycle.q_value(s, a), fast.q_value(s, a))
+          << "q_value divergence at s=" << s << " a=" << a;
+    }
+  }
   EXPECT_EQ(cycle.greedy_policy(), fast.greedy_policy());
 }
 
-// The capability API replaces the old aborting pipeline() accessor:
-// callers probe caps()/cycle_pipeline() instead of assuming a backend.
+// Each kind builds exactly one executor, and callers probe for it:
+// cycle_pipeline() is the cycle-only surface (waveforms, CycleEvents,
+// Bram port audit, tick-level stepping), lane_engine() the functional
+// one, and only a kLanes engine may join a lane group.
 TEST(EngineFacade, CapabilityFlagsAndNullableCyclePipeline) {
   auto environment = make_env(FastEnvKind::kRing2);
   PipelineConfig config;
 
   config.backend = Backend::kCycleAccurate;
   runtime::Engine cycle(*environment, config);
-  EXPECT_TRUE(cycle.backend().has_waveforms());
-  EXPECT_TRUE(cycle.backend().has_cycle_events());
-  EXPECT_TRUE(cycle.backend().has_port_audit());
-  EXPECT_TRUE(cycle.backend().has_single_cycle_step());
+  EXPECT_EQ(cycle.config().backend, Backend::kCycleAccurate);
   ASSERT_NE(cycle.cycle_pipeline(), nullptr);
+  EXPECT_EQ(cycle.lane_engine(), nullptr);
+  EXPECT_FALSE(runtime::is_lane_backend(cycle));
 
   config.backend = Backend::kFast;
   runtime::Engine fast(*environment, config);
-  EXPECT_FALSE(fast.backend().has_waveforms());
-  EXPECT_FALSE(fast.backend().has_cycle_events());
-  EXPECT_FALSE(fast.backend().has_port_audit());
-  EXPECT_FALSE(fast.backend().has_single_cycle_step());
+  EXPECT_EQ(fast.config().backend, Backend::kFast);
   EXPECT_EQ(fast.cycle_pipeline(), nullptr);
-  // The same engine as kLanes, but it never joins a lane group.
-  EXPECT_FALSE(fast.caps().lane_batched);
-  EXPECT_TRUE(fast.caps().dirty_rows);
+  ASSERT_NE(fast.lane_engine(), nullptr);
+  EXPECT_EQ(fast.lane_engine()->num_lanes(), 1u);
+  EXPECT_FALSE(runtime::is_lane_backend(fast));
 
   config.backend = Backend::kLanes;
   runtime::Engine lanes(*environment, config);
-  EXPECT_TRUE(lanes.caps().lane_batched);
+  EXPECT_EQ(lanes.config().backend, Backend::kLanes);
   EXPECT_EQ(lanes.cycle_pipeline(), nullptr);
+  ASSERT_NE(lanes.lane_engine(), nullptr);
+  EXPECT_EQ(lanes.lane_engine()->num_lanes(), 1u);
+  EXPECT_TRUE(runtime::is_lane_backend(lanes));
+  EXPECT_TRUE(runtime::can_coalesce(lanes, lanes));
+  EXPECT_FALSE(runtime::can_coalesce(lanes, fast));
+}
+
+// Once an episode ends, the executors leave different values in the dead
+// walk registers (the Pipeline the next state, the LaneEngine the last
+// one), which the next iteration redraws anyway. Engine::save_state
+// reports them canonically, so a snapshot taken at an episode boundary
+// is byte-identical across the three kinds.
+TEST(EngineFacade, EpisodeBoundarySnapshotsMatchAcrossKinds) {
+  auto environment = make_env(FastEnvKind::kGrid8x8);
+  for (auto algorithm : {Algorithm::kQLearning, Algorithm::kSarsa,
+                         Algorithm::kExpectedSarsa, Algorithm::kDoubleQ}) {
+    PipelineConfig config;
+    config.algorithm = algorithm;
+    config.max_episode_length = 16;
+    config.seed = 5;
+    const auto run = [&](Backend backend, std::uint64_t samples) {
+      PipelineConfig c = config;
+      c.backend = backend;
+      auto engine = std::make_unique<runtime::Engine>(*environment, c);
+      engine->run_samples(samples);
+      return engine;
+    };
+    const auto snapshot = [](const runtime::Engine& engine) {
+      std::ostringstream os;
+      runtime::save_snapshot(engine, os);
+      return std::move(os).str();
+    };
+    unsigned boundaries = 0;
+    for (std::uint64_t n = 1; n <= 200 && boundaries < 3; ++n) {
+      const auto fast = run(Backend::kFast, n);
+      if (!fast->save_state().episode_start) continue;
+      ++boundaries;
+      SCOPED_TRACE(std::string(algorithm_name(algorithm)) + " after " +
+                   std::to_string(n) + " samples");
+      const std::string want = snapshot(*fast);
+      EXPECT_EQ(snapshot(*run(Backend::kLanes, n)), want);
+      EXPECT_EQ(snapshot(*run(Backend::kCycleAccurate, n)), want);
+    }
+    EXPECT_EQ(boundaries, 3u) << algorithm_name(algorithm);
+  }
 }
 
 TEST(BackendParsing, RoundTripsAndRejectsJunk) {

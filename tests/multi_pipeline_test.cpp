@@ -513,7 +513,7 @@ TEST(IndependentPipelines, CyclePipelineIsNullableByBackend) {
   c.backend = Backend::kFast;
   IndependentPipelines fleet(std::move(envs), c);
   EXPECT_EQ(fleet.cycle_pipeline(0), nullptr);
-  EXPECT_EQ(fleet.engine(0).backend_kind(), Backend::kFast);
+  EXPECT_EQ(fleet.engine(0).config().backend, Backend::kFast);
 }
 
 }  // namespace

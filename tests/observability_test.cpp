@@ -3,7 +3,6 @@
 //     monotone from 1, deterministic overflow accounting, and a JSON
 //     dump that parses and matches the recorded tail — including under
 //     concurrent recording from many threads.
-//   - Nearest-rank histogram percentiles over the log2 buckets.
 //   - MetricsRegistry::metric_names() enumerates the registered surface,
 //     and every registered qtserve_*/qta_* family appears in the metric
 //     catalog (docs/serving.md + docs/observability.md) — the drift test
@@ -184,40 +183,6 @@ TEST(FlightRecorder, ConcurrentRecordNeverLosesAccounting) {
     EXPECT_LT(e.value, kPerThread);
   }
   EXPECT_EQ(seqs.size(), 64u);  // no duplicated or torn slots
-}
-
-// ---------------------------------------------------------------------
-// Nearest-rank percentiles over the log2 histogram
-
-TEST(HistogramPercentile, EmptyAndSingleObservation) {
-  Histogram h;
-  EXPECT_EQ(histogram_percentile_upper_bound(h, 0.5), 0u);
-  h.observe(100);  // slot upper bound 127
-  EXPECT_EQ(histogram_percentile_upper_bound(h, 0.0), 127u);
-  EXPECT_EQ(histogram_percentile_upper_bound(h, 0.5), 127u);
-  EXPECT_EQ(histogram_percentile_upper_bound(h, 1.0), 127u);
-}
-
-TEST(HistogramPercentile, NearestRankWalksTheBuckets) {
-  Histogram h;
-  // 90 tiny observations and 10 large ones: p50 must land in the small
-  // bucket, p95/p99 in the large one.
-  for (int i = 0; i < 90; ++i) h.observe(3);     // slot upper bound 3
-  for (int i = 0; i < 10; ++i) h.observe(1000);  // slot upper bound 1023
-  EXPECT_EQ(histogram_percentile_upper_bound(h, 0.50), 3u);
-  EXPECT_EQ(histogram_percentile_upper_bound(h, 0.90), 3u);  // rank 90
-  EXPECT_EQ(histogram_percentile_upper_bound(h, 0.95), 1023u);
-  EXPECT_EQ(histogram_percentile_upper_bound(h, 0.99), 1023u);
-  EXPECT_EQ(histogram_percentile_upper_bound(h, 1.0), 1023u);
-}
-
-TEST(HistogramPercentile, ZeroBucketCounts) {
-  Histogram h;
-  h.observe(0);
-  h.observe(0);
-  h.observe(7);
-  EXPECT_EQ(histogram_percentile_upper_bound(h, 0.5), 0u);
-  EXPECT_EQ(histogram_percentile_upper_bound(h, 0.99), 7u);
 }
 
 // ---------------------------------------------------------------------

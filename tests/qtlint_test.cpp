@@ -347,11 +347,11 @@ TEST(QtlintLayering, OnlyRuntimeAndQtaccelNameConcreteBackends) {
       count_rule(lint_content("src/driver/qtaccel_device.cpp", snippet),
                  RuleId::kLayering),
       2u);
-  // The adapters and the backends' own module keep direct access.
-  EXPECT_EQ(
-      count_rule(lint_content("src/runtime/backend_registry.cpp", snippet),
-                 RuleId::kLayering),
-      0u);
+  // The Engine that owns them and the executors' own module keep direct
+  // access.
+  EXPECT_EQ(count_rule(lint_content("src/runtime/engine.cpp", snippet),
+                       RuleId::kLayering),
+            0u);
   EXPECT_EQ(count_rule(lint_content("src/qtaccel/machine_state.h",
                                     "#pragma once\n" + snippet),
                        RuleId::kLayering),

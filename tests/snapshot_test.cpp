@@ -3,8 +3,8 @@
 // uninterrupted continuation — trace, stats, tables, AND telemetry,
 // with the save format fuzzed across v2 text and v3 binary),
 // cross-backend restores in both directions, v3 full/delta round trips
-// and cross-format equivalence, v1 warm-start sniffing, the backend
-// registry, and rejection of corrupted/foreign/truncated streams.
+// and cross-format equivalence, v1 warm-start sniffing, and rejection of
+// corrupted/foreign/truncated streams.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -14,9 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "common/check.h"
 #include "env/grid_world.h"
-#include "runtime/backend_registry.h"
 #include "runtime/engine.h"
 #include "runtime/snapshot.h"
 #include "runtime/table_io.h"
@@ -225,44 +223,6 @@ TEST(Snapshot, SniffsV1QtableMagicAsWarmStart) {
   }
   // Warm start, not a machine restore: counters stay at zero.
   EXPECT_EQ(fresh.stats().samples, 0u);
-}
-
-TEST(BackendRegistry, BuildsTheConfiguredBackend) {
-  env::GridWorld world(grid8());
-  qtaccel::PipelineConfig c;
-  c.backend = qtaccel::Backend::kCycleAccurate;
-  const auto cycle = make_backend(world, c);
-  EXPECT_EQ(cycle->kind(), qtaccel::Backend::kCycleAccurate);
-  EXPECT_TRUE(cycle->has_waveforms());
-  EXPECT_TRUE(cycle->has_single_cycle_step());
-  EXPECT_NE(cycle->cycle_pipeline(), nullptr);
-
-  c.backend = qtaccel::Backend::kFast;
-  const auto fast = make_backend(world, c);
-  EXPECT_EQ(fast->kind(), qtaccel::Backend::kFast);
-  EXPECT_FALSE(fast->has_waveforms());
-  EXPECT_FALSE(fast->has_port_audit());
-  EXPECT_EQ(fast->cycle_pipeline(), nullptr);
-}
-
-std::unique_ptr<QrlBackend> aborting_factory(const env::Environment&,
-                                             const qtaccel::PipelineConfig&) {
-  QTA_CHECK_MSG(false, "out-of-tree backend factory invoked");
-  return nullptr;
-}
-
-TEST(BackendRegistryDeath, RegisteredFactoryReplacesBuiltin) {
-  // register_backend must win over the built-in adapter. Run inside the
-  // death-test child so the parent process keeps the real fast backend.
-  env::GridWorld world(grid8());
-  qtaccel::PipelineConfig c;
-  c.backend = qtaccel::Backend::kFast;
-  EXPECT_DEATH(
-      {
-        register_backend(qtaccel::Backend::kFast, &aborting_factory);
-        Engine e(world, c);
-      },
-      "out-of-tree backend factory invoked");
 }
 
 std::string valid_snapshot_text(const env::Environment& env,

@@ -164,9 +164,9 @@ constexpr std::array<LayerSpec, 15> kLayerSpecs{{
 }};
 
 // Concrete backend headers: constructible only from src/runtime (the
-// registry's adapters) and src/qtaccel (the backends' own module).
+// Engine that owns them) and src/qtaccel (the backends' own module).
 // Everything else — including tools/examples/bench above the seam —
-// programs against the Engine facade or the backend registry.
+// programs against the Engine facade.
 constexpr std::array<std::string_view, 2> kRestrictedBackendHeaders{
     "qtaccel/pipeline.h", "qtaccel/lane_engine.h"};
 
@@ -529,7 +529,7 @@ void check_includes(const LexedFile& lexed, const FileClass& fc,
     // Layering, part 1: the restricted backend headers. Applies
     // everywhere (src AND the tools/examples/bench dirs above the
     // seam): Pipeline / LaneEngine are constructed only by the
-    // runtime's adapters and their own module. The serving layer gets
+    // runtime's Engine and their own module. The serving layer gets
     // a tailored message — serve stays backend-generic so snapshots
     // keep bridging backends.
     if (!fc.runtime && !fc.qtaccel &&
@@ -543,7 +543,7 @@ void check_includes(const LexedFile& lexed, const FileClass& fc,
         e.emit(RuleId::kLayering, line,
                "#include \"" + target +
                    "\" outside src/runtime: use the Engine facade "
-                   "(runtime/engine.h) or the backend registry instead");
+                   "(runtime/engine.h) instead");
       }
       continue;
     }

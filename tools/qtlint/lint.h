@@ -29,10 +29,10 @@
 //                     (qtaccel/pipeline.h, qtaccel/lane_engine.h) are
 //                     constructible only from src/runtime and
 //                     src/qtaccel; everything else goes through the
-//                     Engine facade / backend registry. lint_repo also
-//                     rejects #include cycles anywhere in the scanned
-//                     set. The DAG itself is the kLayering table in
-//                     lint.cpp, documented in docs/static_analysis.md.
+//                     Engine facade. lint_repo also rejects #include
+//                     cycles anywhere in the scanned set. The DAG
+//                     itself is the kLayering table in lint.cpp,
+//                     documented in docs/static_analysis.md.
 //   mutex-annotation  every std::mutex / std::shared_mutex /
 //                     std::condition_variable (and friends) MEMBER
 //                     declared under src/ must carry a QTA_GUARDED_BY-
