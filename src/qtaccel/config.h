@@ -62,8 +62,8 @@ enum class Backend {
                    // joins a lane group
   kLanes,          // the same engine, but its state may join a lane
                    // group (runtime/lane_coalescer.h) that advances N
-                   // sessions per round (SIMD across lanes); per lane
-                   // bit-identical to kFast
+                   // sessions per phased round; per lane bit-identical
+                   // to kFast
 };
 
 /// Parses "cycle"/"fast"/"lanes" (CLI flag spelling); aborts on anything

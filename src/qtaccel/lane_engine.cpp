@@ -9,17 +9,9 @@
 
 #include "common/check.h"
 #include "common/mutex.h"
-#include "common/simd.h"
 #include "env/grid_world.h"
 #include "env/value_iteration.h"
 #include "qtaccel/machine_state.h"
-
-#if defined(__x86_64__) || defined(__i386__)
-#include <immintrin.h>
-#endif
-#if defined(__aarch64__)
-#include <arm_neon.h>
-#endif
 
 namespace qta::qtaccel {
 
@@ -87,7 +79,9 @@ inline void prefetch_rw(const void* p) {
 }
 
 // ---------------------------------------------------------------------
-// Stage-3 kernels. All replicate fixed::mul / fixed::sat_add exactly:
+// The stage-3 update, one lane at a time on both schedules (the paper's
+// DSP stage, which each replicated pipeline owns). It replicates
+// fixed::mul / fixed::sat_add exactly:
 //   product   = a * coeff                      (fits 63 bits: widths<=62)
 //   rescaled  = round-half-away-from-zero(product >> coeff_fmt.frac)
 //   term      = clamp(rescaled, q_fmt)         (flag on clamp)
@@ -121,7 +115,9 @@ inline fixed::raw_t clamp_flag(fixed::raw_t v, fixed::raw_t lo,
   return v;
 }
 
-// One slot's update: new_q, with the saturation mask in `flags`.
+// One lane's update: new_q, with the saturation mask in `flags` (bits
+// 0..2 the three DSP products in {r, old, next} order, bits 3..4 the two
+// adder stages).
 inline fixed::raw_t update_one(fixed::raw_t r, fixed::raw_t q_old,
                                fixed::raw_t q_next, fixed::raw_t alpha,
                                fixed::raw_t one_minus_alpha,
@@ -137,254 +133,6 @@ inline fixed::raw_t update_one(fixed::raw_t r, fixed::raw_t q_old,
   const fixed::raw_t sum1 = clamp_flag(term_r + term_old, lo, hi, flags, 8u);
   return clamp_flag(sum1 + term_next, lo, hi, flags, 16u);
 }
-
-// Portable kernel: a flat loop over packed slots, written so the
-// compiler can autovectorize (no calls, no aborts, branch-free rounding;
-// the clamp compiles to min/max + compare).
-void kernel_scalar(const LaneEngine::KernelArgs& k) {
-  for (std::size_t i = 0; i < k.n; ++i) {
-    std::uint8_t flags = 0;
-    k.new_q[i] = update_one(k.r[i], k.q_old[i], k.q_next[i], k.alpha[i],
-                            k.one_minus_alpha[i], k.alpha_gamma[i],
-                            k.half[i], k.shift[i], k.lo[i], k.hi[i], flags);
-    k.sat_bits[i] = flags;
-  }
-}
-
-#if defined(__x86_64__)
-
-// AVX2: 4 int64 lanes per vector. AVX2 has no 64-bit multiply or
-// arithmetic 64-bit shifts, so both are synthesized: the multiply from
-// 32x32 partial products (exact, because the true product fits in 63
-// bits), the arithmetic shift via the same sign/magnitude identity as
-// the scalar kernel (the magnitude shifts logically with srlv).
-
-__attribute__((target("avx2"))) inline __m256i mul64_avx2(__m256i a,
-                                                          __m256i b) {
-  const __m256i bswap = _mm256_shuffle_epi32(b, 0xB1);
-  const __m256i prodlh = _mm256_mullo_epi32(a, bswap);
-  const __m256i zero = _mm256_setzero_si256();
-  const __m256i prodlh2 = _mm256_hadd_epi32(prodlh, zero);
-  const __m256i prodlh3 = _mm256_shuffle_epi32(prodlh2, 0x73);
-  const __m256i prodll = _mm256_mul_epu32(a, b);
-  return _mm256_add_epi64(prodll, prodlh3);
-}
-
-__attribute__((target("avx2"))) inline __m256i round_shift_avx2(
-    __m256i v, __m256i half, __m256i shift) {
-  const __m256i zero = _mm256_setzero_si256();
-  const __m256i sign = _mm256_cmpgt_epi64(zero, v);
-  const __m256i mag =
-      _mm256_sub_epi64(_mm256_xor_si256(v, sign), sign);
-  const __m256i res =
-      _mm256_srlv_epi64(_mm256_add_epi64(mag, half), shift);
-  return _mm256_sub_epi64(_mm256_xor_si256(res, sign), sign);
-}
-
-__attribute__((target("avx2"))) inline __m256i clamp_mask_avx2(
-    __m256i v, __m256i lo, __m256i hi, __m256i& saturated) {
-  const __m256i too_lo = _mm256_cmpgt_epi64(lo, v);
-  const __m256i too_hi = _mm256_cmpgt_epi64(v, hi);
-  saturated = _mm256_or_si256(too_lo, too_hi);
-  __m256i out = _mm256_blendv_epi8(v, lo, too_lo);
-  return _mm256_blendv_epi8(out, hi, too_hi);
-}
-
-__attribute__((target("avx2"))) void kernel_avx2(
-    const LaneEngine::KernelArgs& k) {
-  std::size_t i = 0;
-  for (; i + 4 <= k.n; i += 4) {
-    const __m256i half =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(&k.half[i]));
-    const __m256i shift = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(&k.shift[i]));
-    const __m256i lo =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(&k.lo[i]));
-    const __m256i hi =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(&k.hi[i]));
-
-    __m256i sat_r, sat_old, sat_next, sat1, sat2;
-    const __m256i term_r = clamp_mask_avx2(
-        round_shift_avx2(
-            mul64_avx2(_mm256_loadu_si256(
-                           reinterpret_cast<const __m256i*>(&k.r[i])),
-                       _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
-                           &k.alpha[i]))),
-            half, shift),
-        lo, hi, sat_r);
-    const __m256i term_old = clamp_mask_avx2(
-        round_shift_avx2(
-            mul64_avx2(_mm256_loadu_si256(reinterpret_cast<const __m256i*>(
-                           &k.q_old[i])),
-                       _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
-                           &k.one_minus_alpha[i]))),
-            half, shift),
-        lo, hi, sat_old);
-    const __m256i term_next = clamp_mask_avx2(
-        round_shift_avx2(
-            mul64_avx2(_mm256_loadu_si256(reinterpret_cast<const __m256i*>(
-                           &k.q_next[i])),
-                       _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
-                           &k.alpha_gamma[i]))),
-            half, shift),
-        lo, hi, sat_next);
-    const __m256i sum1 = clamp_mask_avx2(
-        _mm256_add_epi64(term_r, term_old), lo, hi, sat1);
-    const __m256i new_q = clamp_mask_avx2(
-        _mm256_add_epi64(sum1, term_next), lo, hi, sat2);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(&k.new_q[i]), new_q);
-
-    // One flag bit per saturation source, matching the scalar kernel's
-    // bit layout; movemask_pd extracts the per-slot top bits.
-    const int mr = _mm256_movemask_pd(_mm256_castsi256_pd(sat_r));
-    const int mo = _mm256_movemask_pd(_mm256_castsi256_pd(sat_old));
-    const int mn = _mm256_movemask_pd(_mm256_castsi256_pd(sat_next));
-    const int m1 = _mm256_movemask_pd(_mm256_castsi256_pd(sat1));
-    const int m2 = _mm256_movemask_pd(_mm256_castsi256_pd(sat2));
-    for (std::size_t l = 0; l < 4; ++l) {
-      k.sat_bits[i + l] = static_cast<std::uint8_t>(
-          (((mr >> l) & 1) << 0) | (((mo >> l) & 1) << 1) |
-          (((mn >> l) & 1) << 2) | (((m1 >> l) & 1) << 3) |
-          (((m2 >> l) & 1) << 4));
-    }
-  }
-  if (i < k.n) {
-    LaneEngine::KernelArgs tail = k;
-    tail.n = k.n - i;
-    tail.r += i;
-    tail.q_old += i;
-    tail.q_next += i;
-    tail.alpha += i;
-    tail.one_minus_alpha += i;
-    tail.alpha_gamma += i;
-    tail.half += i;
-    tail.shift += i;
-    tail.lo += i;
-    tail.hi += i;
-    tail.new_q += i;
-    tail.sat_bits += i;
-    kernel_scalar(tail);
-  }
-}
-
-#endif  // __x86_64__
-
-#if defined(__aarch64__)
-
-// NEON: 2 int64 lanes per vector. aarch64 has no 64-bit vector multiply,
-// so the three products compute on the scalar pipes (one MUL each, which
-// dual-issues with the vector code); rounding, clamping, and the adder
-// tree run vectorized. vshlq with a negated shift performs the logical
-// right shift.
-void kernel_neon(const LaneEngine::KernelArgs& k) {
-  std::size_t i = 0;
-  for (; i + 2 <= k.n; i += 2) {
-    const int64x2_t half = vld1q_s64(&k.half[i]);
-    const int64x2_t nshift = vnegq_s64(
-        vld1q_s64(reinterpret_cast<const std::int64_t*>(&k.shift[i])));
-    const int64x2_t lo = vld1q_s64(&k.lo[i]);
-    const int64x2_t hi = vld1q_s64(&k.hi[i]);
-
-    const int64x2_t prod_r = {k.r[i] * k.alpha[i],
-                              k.r[i + 1] * k.alpha[i + 1]};
-    const int64x2_t prod_old = {
-        k.q_old[i] * k.one_minus_alpha[i],
-        k.q_old[i + 1] * k.one_minus_alpha[i + 1]};
-    const int64x2_t prod_next = {k.q_next[i] * k.alpha_gamma[i],
-                                 k.q_next[i + 1] * k.alpha_gamma[i + 1]};
-
-    const auto round_shift_v = [&](int64x2_t v) -> int64x2_t {
-      const int64x2_t sign = vshrq_n_s64(v, 63);
-      const int64x2_t mag = vsubq_s64(veorq_s64(v, sign), sign);
-      const int64x2_t res = vreinterpretq_s64_u64(
-          vshlq_u64(vreinterpretq_u64_s64(vaddq_s64(mag, half)), nshift));
-      return vsubq_s64(veorq_s64(res, sign), sign);
-    };
-    const auto clamp_v = [&](int64x2_t v, uint64x2_t& sat) -> int64x2_t {
-      const uint64x2_t too_lo = vcgtq_s64(lo, v);
-      const uint64x2_t too_hi = vcgtq_s64(v, hi);
-      sat = vorrq_u64(too_lo, too_hi);
-      int64x2_t out = vbslq_s64(too_lo, lo, v);
-      return vbslq_s64(too_hi, hi, out);
-    };
-
-    uint64x2_t sat_r, sat_old, sat_next, sat1, sat2;
-    const int64x2_t term_r = clamp_v(round_shift_v(prod_r), sat_r);
-    const int64x2_t term_old = clamp_v(round_shift_v(prod_old), sat_old);
-    const int64x2_t term_next =
-        clamp_v(round_shift_v(prod_next), sat_next);
-    const int64x2_t sum1 = clamp_v(vaddq_s64(term_r, term_old), sat1);
-    const int64x2_t new_q = clamp_v(vaddq_s64(sum1, term_next), sat2);
-    vst1q_s64(&k.new_q[i], new_q);
-
-    // vgetq_lane needs immediate indices; two unrolled extractions.
-    k.sat_bits[i] = static_cast<std::uint8_t>(
-        ((vgetq_lane_u64(sat_r, 0) & 1) << 0) |
-        ((vgetq_lane_u64(sat_old, 0) & 1) << 1) |
-        ((vgetq_lane_u64(sat_next, 0) & 1) << 2) |
-        ((vgetq_lane_u64(sat1, 0) & 1) << 3) |
-        ((vgetq_lane_u64(sat2, 0) & 1) << 4));
-    k.sat_bits[i + 1] = static_cast<std::uint8_t>(
-        ((vgetq_lane_u64(sat_r, 1) & 1) << 0) |
-        ((vgetq_lane_u64(sat_old, 1) & 1) << 1) |
-        ((vgetq_lane_u64(sat_next, 1) & 1) << 2) |
-        ((vgetq_lane_u64(sat1, 1) & 1) << 3) |
-        ((vgetq_lane_u64(sat2, 1) & 1) << 4));
-  }
-  if (i < k.n) {
-    LaneEngine::KernelArgs tail = k;
-    tail.n = k.n - i;
-    tail.r += i;
-    tail.q_old += i;
-    tail.q_next += i;
-    tail.alpha += i;
-    tail.one_minus_alpha += i;
-    tail.alpha_gamma += i;
-    tail.half += i;
-    tail.shift += i;
-    tail.lo += i;
-    tail.hi += i;
-    tail.new_q += i;
-    tail.sat_bits += i;
-    kernel_scalar(tail);
-  }
-}
-
-#endif  // __aarch64__
-
-LaneEngine::KernelFn select_kernel() {
-  switch (detected_simd_isa()) {
-#if defined(__x86_64__)
-    case SimdIsa::kAvx2:
-      return &kernel_avx2;
-#endif
-#if defined(__aarch64__)
-    case SimdIsa::kNeon:
-      return &kernel_neon;
-#endif
-    default:
-      return &kernel_scalar;
-  }
-}
-
-}  // namespace
-
-void LaneEngine::Scratch::resize(std::size_t n) {
-  r.resize(n);
-  q_old.resize(n);
-  q_next.resize(n);
-  new_q.resize(n);
-  sat_bits.resize(n);
-  p_alpha.resize(n);
-  p_one_minus_alpha.resize(n);
-  p_alpha_gamma.resize(n);
-  p_half.resize(n);
-  p_shift.resize(n);
-  p_lo.resize(n);
-  p_hi.resize(n);
-}
-
-namespace {
 
 using EnvImage = LaneEngine::EnvImage;
 
@@ -527,7 +275,6 @@ LaneEngine::LaneEngine(const std::vector<LaneSpec>& lanes) {
 void LaneEngine::init_lanes(const std::vector<LaneSpec>& lanes) {
   QTA_CHECK_MSG(!lanes.empty(), "a lane engine needs at least one lane");
   lanes_ = lanes.size();
-  kernel_ = select_kernel();
 
   config_.reserve(lanes_);
   image_.reserve(lanes_);
@@ -552,13 +299,6 @@ void LaneEngine::init_lanes(const std::vector<LaneSpec>& lanes) {
   trace_.assign(lanes_, nullptr);
   telemetry_.assign(lanes_, nullptr);
   ctl_.assign(lanes_, RunCtl{});
-  k_alpha_.resize(lanes_);
-  k_one_minus_alpha_.resize(lanes_);
-  k_alpha_gamma_.resize(lanes_);
-  k_half_.resize(lanes_);
-  k_shift_.resize(lanes_);
-  k_lo_.resize(lanes_);
-  k_hi_.resize(lanes_);
 
   for (std::size_t i = 0; i < lanes_; ++i) {
     const LaneSpec& spec = lanes[i];
@@ -567,7 +307,7 @@ void LaneEngine::init_lanes(const std::vector<LaneSpec>& lanes) {
                   "lanes of one group must agree on algorithm, qmax "
                   "mode, and hazard mode");
     validate_config(spec.config, *spec.env);
-    // The kernel hoists fixed::mul's per-call width check to here.
+    // update_one hoists fixed::mul's per-call width check to here.
     QTA_CHECK_MSG(
         spec.config.q_fmt.width + spec.config.coeff_fmt.width <= 62,
         "product would overflow the 64-bit accumulator");
@@ -595,19 +335,7 @@ void LaneEngine::init_lanes(const std::vector<LaneSpec>& lanes) {
     // Dirty-row flags are sized even for deferred lanes (put_state may
     // adopt a conservative epoch that needs a zeroed bitmap to land in).
     dirty_rows_[i].assign(spec.env->num_states(), 0);
-
-    const fixed::Format qf = spec.config.q_fmt;
-    const fixed::Format cf = spec.config.coeff_fmt;
-    k_alpha_[i] = coeff_.back().alpha;
-    k_one_minus_alpha_[i] = coeff_.back().one_minus_alpha;
-    k_alpha_gamma_[i] = coeff_.back().alpha_gamma;
-    k_shift_[i] = cf.frac;
-    k_half_[i] =
-        cf.frac == 0 ? 0 : (std::int64_t{1} << (cf.frac - 1));
-    k_lo_[i] = qf.min_raw();
-    k_hi_[i] = qf.max_raw();
   }
-  sc_.resize(lanes_);
 }
 
 LaneEngine::Hot LaneEngine::make_hot(std::size_t lane) {
@@ -618,6 +346,12 @@ LaneEngine::Hot LaneEngine::make_hot(std::size_t lane) {
   h.coeff = coeff_[lane];
   h.q_fmt = c.q_fmt;
   h.coeff_fmt = c.coeff_fmt;
+  h.half = c.coeff_fmt.frac == 0
+               ? 0
+               : (std::int64_t{1} << (c.coeff_fmt.frac - 1));
+  h.shift = c.coeff_fmt.frac;
+  h.lo = c.q_fmt.min_raw();
+  h.hi = c.q_fmt.max_raw();
   h.eps_threshold = eps_threshold_[lane];
   h.epsilon_bits = c.epsilon_bits;
   h.action_bits = map_[lane].action_bits;
@@ -709,10 +443,9 @@ StateId LaneEngine::hot_next_state(Hot& L, StateId s, ActionId a) {
 // Bubbles (a terminal start state: the zero-length episode is redrawn
 // next iteration) retire entirely in pass_addr; the slot occupies a
 // pipeline slot, so the raise window advances, but pushes no
-// write-back, and the inactive slot's zeroed operands keep the kernel's
-// products harmless.
+// write-back, and the inactive lane skips the remaining passes.
 template <Algorithm kAlgo, bool kTel>
-void LaneEngine::pass_addr(Hot& L, std::size_t slot) {
+void LaneEngine::pass_addr(Hot& L) {
   const std::uint64_t iter = L.stats.iterations;
   ++L.stats.iterations;
   ++L.stats.issued;
@@ -741,9 +474,6 @@ void LaneEngine::pass_addr(Hot& L, std::size_t slot) {
         }
       }
       L.active = 0;
-      sc_.r[slot] = 0;
-      sc_.q_old[slot] = 0;
-      sc_.q_next[slot] = 0;
       return;
     }
   }
@@ -808,7 +538,7 @@ void LaneEngine::pass_next(Hot& L) {
 }
 
 template <Algorithm kAlgo, bool kMono, bool kCountFwd, bool kTel>
-void LaneEngine::pass_read(Hot& L, std::size_t slot) {
+void LaneEngine::pass_read(Hot& L) {
   const StateId s_next = L.s_next;
   const unsigned table = L.table;
   fixed::raw_t* learn = L.learn_tables[table];
@@ -913,16 +643,21 @@ void LaneEngine::pass_read(Hot& L, std::size_t slot) {
   L.a_next = a_next;
   L.end = end ? 1 : 0;
   L.fwd_next_addr = fwd_next_addr;
-  sc_.r[slot] = r;
-  sc_.q_old[slot] = learn[sa_addr];
-  sc_.q_next[slot] = q_next;
+  L.r = r;
+  L.q_old = learn[sa_addr];
+  L.q_next = q_next;
   if constexpr (kTel) L.tel_fq = fwd_qmax_hit ? 1 : 0;
 }
 
-// --- the retire pass: write-back, raise, rings, trace, telemetry ------
+// --- the retire pass: stage-3 update, write-back, raise, rings, trace,
+// telemetry ------------------------------------------------------------
 template <Algorithm kAlgo, bool kMono, bool kTel>
-void LaneEngine::pass_retire(Hot& L, std::size_t slot) {
-  const std::uint8_t sat = sc_.sat_bits[slot];
+void LaneEngine::pass_retire(Hot& L) {
+  std::uint8_t sat = 0;
+  const fixed::raw_t new_q =
+      update_one(L.r, L.q_old, L.q_next, L.coeff.alpha,
+                 L.coeff.one_minus_alpha, L.coeff.alpha_gamma, L.half,
+                 L.shift, L.lo, L.hi, sat);
   L.dsp_sat[0] += sat & 1u;
   L.dsp_sat[1] += (sat >> 1) & 1u;
   L.dsp_sat[2] += (sat >> 2) & 1u;
@@ -930,7 +665,6 @@ void LaneEngine::pass_retire(Hot& L, std::size_t slot) {
 
   const StateId s = L.s;
   const ActionId a = L.a;
-  const fixed::raw_t new_q = sc_.new_q[slot];
   L.learn_tables[L.table][L.sa_addr] = new_q;
   L.dirty[s] = 1;
 
@@ -958,7 +692,7 @@ void LaneEngine::pass_retire(Hot& L, std::size_t slot) {
     SampleTrace tr;
     tr.state = s;
     tr.action = a;
-    tr.reward = sc_.r[slot];
+    tr.reward = L.r;
     tr.new_q = new_q;
     tr.next_state = L.s_next;
     tr.end_episode = end;
@@ -974,7 +708,7 @@ void LaneEngine::pass_retire(Hot& L, std::size_t slot) {
       ev.fwd_sa_distance = L.tel_sa;
       ev.fwd_next_distance = L.tel_next;
       ev.fwd_qmax = L.tel_fq != 0;
-      // All of this step's saturation events are in the kernel's mask.
+      // All of this step's saturation events are in update_one's mask.
       ev.saturations = static_cast<std::uint8_t>(
           (sat & 1u) + ((sat >> 1) & 1u) + ((sat >> 2) & 1u) +
           ((sat >> 3) & 1u) + ((sat >> 4) & 1u));
@@ -990,20 +724,6 @@ void LaneEngine::pass_retire(Hot& L, std::size_t slot) {
     L.state = L.s_next;
     L.pending_action = L.a_next;
   }
-}
-
-void LaneEngine::pack_params(const std::vector<std::size_t>& live) {
-  for (std::size_t i = 0; i < live.size(); ++i) {
-    const std::size_t lane = live[i];
-    sc_.p_alpha[i] = k_alpha_[lane];
-    sc_.p_one_minus_alpha[i] = k_one_minus_alpha_[lane];
-    sc_.p_alpha_gamma[i] = k_alpha_gamma_[lane];
-    sc_.p_half[i] = k_half_[lane];
-    sc_.p_shift[i] = k_shift_[lane];
-    sc_.p_lo[i] = k_lo_[lane];
-    sc_.p_hi[i] = k_hi_[lane];
-  }
-  params_dirty_ = false;
 }
 
 bool LaneEngine::lane_done(RunCtl& ctl, std::uint64_t samples,
@@ -1023,16 +743,9 @@ void LaneEngine::run_solo(std::size_t lane) {
   Hot& L = hot_[lane];
   RunCtl& ctl = ctl_[lane];
   const bool forward = config_[lane].hazard == HazardMode::kForward;
-  const fixed::raw_t alpha = k_alpha_[lane];
-  const fixed::raw_t one_minus_alpha = k_one_minus_alpha_[lane];
-  const fixed::raw_t alpha_gamma = k_alpha_gamma_[lane];
-  const std::int64_t half = k_half_[lane];
-  const std::uint64_t shift = k_shift_[lane];
-  const fixed::raw_t lo = k_lo_[lane];
-  const fixed::raw_t hi = k_hi_[lane];
   const std::uint64_t row_span = (std::uint64_t{1} << L.action_bits) - 1;
   do {
-    pass_addr<kAlgo, kTel>(L, 0);
+    pass_addr<kAlgo, kTel>(L);
     if (L.active != 0) {
       pass_next<kAlgo, kMono>(L);
       // The next iteration reads s_next's Q and reward rows; their
@@ -1053,13 +766,8 @@ void LaneEngine::run_solo(std::size_t lane) {
         prefetch_ro(&L.reward[row]);
         prefetch_ro(&L.reward[row + row_span]);
       }
-      pass_read<kAlgo, kMono, kCountFwd, kTel>(L, 0);
-      std::uint8_t flags = 0;
-      sc_.new_q[0] =
-          update_one(sc_.r[0], sc_.q_old[0], sc_.q_next[0], alpha,
-                     one_minus_alpha, alpha_gamma, half, shift, lo, hi, flags);
-      sc_.sat_bits[0] = flags;
-      pass_retire<kAlgo, kMono, kTel>(L, 0);
+      pass_read<kAlgo, kMono, kCountFwd, kTel>(L);
+      pass_retire<kAlgo, kMono, kTel>(L);
     }
   } while (!lane_done(ctl, L.stats.samples, forward));
 }
@@ -1067,42 +775,23 @@ void LaneEngine::run_solo(std::size_t lane) {
 template <Algorithm kAlgo, bool kMono, bool kCountFwd, bool kTel>
 void LaneEngine::run_rounds(std::vector<std::size_t>& live) {
   Hot* const hot = hot_.data();
-  KernelArgs k;
-  k.r = sc_.r.data();
-  k.q_old = sc_.q_old.data();
-  k.q_next = sc_.q_next.data();
-  k.alpha = sc_.p_alpha.data();
-  k.one_minus_alpha = sc_.p_one_minus_alpha.data();
-  k.alpha_gamma = sc_.p_alpha_gamma.data();
-  k.half = sc_.p_half.data();
-  k.shift = sc_.p_shift.data();
-  k.lo = sc_.p_lo.data();
-  k.hi = sc_.p_hi.data();
-  k.new_q = sc_.new_q.data();
-  k.sat_bits = sc_.sat_bits.data();
-
   while (!live.empty()) {
-    if (params_dirty_) pack_params(live);
     const std::size_t n = live.size();
 
     for (std::size_t i = 0; i < n; ++i) {
-      pass_addr<kAlgo, kTel>(hot[live[i]], i);
+      pass_addr<kAlgo, kTel>(hot[live[i]]);
     }
     for (std::size_t i = 0; i < n; ++i) {
       if (hot[live[i]].active != 0) pass_next<kAlgo, kMono>(hot[live[i]]);
     }
     for (std::size_t i = 0; i < n; ++i) {
       if (hot[live[i]].active != 0) {
-        pass_read<kAlgo, kMono, kCountFwd, kTel>(hot[live[i]], i);
+        pass_read<kAlgo, kMono, kCountFwd, kTel>(hot[live[i]]);
       }
     }
-
-    k.n = n;
-    kernel_(k);
-
     for (std::size_t i = 0; i < n; ++i) {
       if (hot[live[i]].active != 0) {
-        pass_retire<kAlgo, kMono, kTel>(hot[live[i]], i);
+        pass_retire<kAlgo, kMono, kTel>(hot[live[i]]);
       }
     }
 
@@ -1112,8 +801,6 @@ void LaneEngine::run_rounds(std::vector<std::size_t>& live) {
       if (!lane_done(ctl_[lane], hot[lane].stats.samples,
                      config_[lane].hazard == HazardMode::kForward)) {
         live[out++] = lane;
-      } else {
-        params_dirty_ = true;
       }
     }
     live.resize(out);
@@ -1181,7 +868,6 @@ void LaneEngine::run_group(const std::vector<std::size_t>& lanes_to_run,
   }
   if (live.empty()) return;
   const std::vector<std::size_t> entered = live;
-  params_dirty_ = true;
 
   // Materialize the hot records the passes run off (indexed by lane; the
   // non-participating lanes' records are built but never touched).

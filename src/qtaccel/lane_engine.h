@@ -9,22 +9,21 @@
 // Bram port accounting, no pipeline latches. Each lane is one pipeline.
 // Per-lane LFSR state, walk state, forwarding rings and episode control
 // live in flat per-lane arrays; one iteration of one lane is four pass
-// functions (pass_addr, pass_next, pass_read, pass_retire) around the
-// stage-3 fixed-point kernel, and those passes are the only place the
-// iteration's semantics are written down.
+// functions (pass_addr, pass_next, pass_read, pass_retire, which opens
+// with the stage-3 fixed-point update of that one lane), and those
+// passes are the only place the iteration's semantics are written down.
 //
-// Two schedules drive the passes; the number of live lanes at run entry
-// picks one:
-//   solo  — one live lane: the passes run back to back, the stage-3
-//           arithmetic is inlined, and s_next's rows are prefetched a
-//           full iteration ahead (a one-lane run has nothing to overlap
-//           its misses with but its own next iteration);
+// Two schedules drive the same four passes; the number of live lanes at
+// run entry picks one:
+//   solo  — one live lane: the passes run back to back, and s_next's
+//           rows are prefetched a full iteration ahead (a one-lane run
+//           has nothing to overlap its misses with but its own next
+//           iteration);
 //   group — N live lanes: each pass runs across every live lane before
-//           the next starts, so N independent miss chains overlap, and
-//           the stage-3 kernel runs as one SIMD loop across lanes — an
-//           autovectorizable portable loop plus explicit AVX2/NEON
-//           paths picked at runtime (common/simd.h). This is the
-//           software analogue of the paper's replicated pipelines.
+//           the next starts, so N independent miss chains overlap. Each
+//           lane retires through its own stage-3 update, as each of the
+//           paper's replicated pipelines owns its DSPs; this is the
+//           software analogue of those pipelines.
 //
 // Fidelity: the retired SampleTrace sequence, the final Q/Qmax tables,
 // the RNG registers and the PipelineStats are bit-identical to both
@@ -224,28 +223,6 @@ class LaneEngine {
     return image_[lane];
   }
 
-  /// Batched stage-3 arithmetic: new_q[i] and a 5-bit saturation mask
-  /// (bits 0..2 the three DSP products in {r, old, next} order, bits
-  /// 3..4 the two adder stages) per packed slot. Public because the
-  /// kernel implementations are free functions (lane_engine.cpp keeps
-  /// the ISA-specific ones in an anonymous namespace).
-  struct KernelArgs {
-    std::size_t n = 0;
-    const fixed::raw_t* r = nullptr;
-    const fixed::raw_t* q_old = nullptr;
-    const fixed::raw_t* q_next = nullptr;
-    const fixed::raw_t* alpha = nullptr;
-    const fixed::raw_t* one_minus_alpha = nullptr;
-    const fixed::raw_t* alpha_gamma = nullptr;
-    const std::int64_t* half = nullptr;     // rounding bias 1<<(shift-1)
-    const std::uint64_t* shift = nullptr;   // coeff_fmt.frac
-    const fixed::raw_t* lo = nullptr;       // q_fmt.min_raw()
-    const fixed::raw_t* hi = nullptr;       // q_fmt.max_raw()
-    fixed::raw_t* new_q = nullptr;
-    std::uint8_t* sat_bits = nullptr;
-  };
-  using KernelFn = void (*)(const KernelArgs&);
-
  private:
   // Qmax raises of the two preceding iterations: at stage 2 of iteration
   // i the Qmax BRAM has committed raises through iteration i-3, so the
@@ -273,13 +250,18 @@ class LaneEngine {
   /// access costs a second dependent load per field, which at ~60
   /// fields per iteration dwarfs the update itself.
   struct Hot {
-    explicit Hot(const RngBank& r) : rng(r) {}
+    explicit Hot(const RngBank& bank) : rng(bank) {}
 
     RngBank rng;  // by value: LFSR registers stay in-record
     PipelineStats stats;
     Coefficients coeff;
     fixed::Format q_fmt;
     fixed::Format coeff_fmt;
+    // Stage-3 rounding and clamp constants, from coeff_fmt and q_fmt.
+    std::int64_t half = 0;     // rounding bias 1<<(shift-1)
+    std::uint64_t shift = 0;   // coeff_fmt.frac
+    fixed::raw_t lo = 0;       // q_fmt.min_raw()
+    fixed::raw_t hi = 0;       // q_fmt.max_raw()
     std::uint64_t eps_threshold = 0;
     unsigned epsilon_bits = 0;
     unsigned action_bits = 0;
@@ -330,6 +312,10 @@ class LaneEngine {
     std::uint8_t tel_sa = 0;
     std::uint8_t tel_next = 0;
     std::uint8_t tel_fq = 0;
+    // Stage-3 operands (pass_read -> pass_retire).
+    fixed::raw_t r = 0;
+    fixed::raw_t q_old = 0;
+    fixed::raw_t q_next = 0;
 
     std::uint64_t q_addr(StateId st, ActionId ac) const {
       return (static_cast<std::uint64_t>(st) << action_bits) | ac;
@@ -354,13 +340,13 @@ class LaneEngine {
   // overlapped ones — the software analogue of the paper's replicated
   // pipelines hiding Q-table access latency.
   template <Algorithm kAlgo, bool kTel>
-  void pass_addr(Hot& L, std::size_t slot);
+  static void pass_addr(Hot& L);
   template <Algorithm kAlgo, bool kMono>
   static void pass_next(Hot& L);
   template <Algorithm kAlgo, bool kMono, bool kCountFwd, bool kTel>
-  void pass_read(Hot& L, std::size_t slot);
+  static void pass_read(Hot& L);
   template <Algorithm kAlgo, bool kMono, bool kTel>
-  void pass_retire(Hot& L, std::size_t slot);
+  static void pass_retire(Hot& L);
   /// The solo schedule: `lane` alone, passes back to back.
   template <Algorithm kAlgo, bool kMono, bool kCountFwd, bool kTel>
   void run_solo(std::size_t lane);
@@ -378,7 +364,6 @@ class LaneEngine {
   void run_group(const std::vector<std::size_t>& lanes_to_run,
                  const std::vector<std::uint64_t>& values,
                  bool samples_mode);
-  void pack_params(const std::vector<std::size_t>& live);
   /// Run control after one of the lane's iterations; true once the lane
   /// is done for this run.
   static bool lane_done(RunCtl& ctl, std::uint64_t samples, bool forward);
@@ -401,7 +386,6 @@ class LaneEngine {
   }
 
   std::size_t lanes_ = 0;
-  KernelFn kernel_ = nullptr;
 
   // Per-lane constants.
   std::vector<PipelineConfig> config_;
@@ -441,39 +425,7 @@ class LaneEngine {
   std::vector<telemetry::TelemetrySink*> telemetry_;
 
   std::vector<RunCtl> ctl_;
-
-  // Kernel constants per lane (gathered into packed arrays per live set).
-  std::vector<fixed::raw_t> k_alpha_;
-  std::vector<fixed::raw_t> k_one_minus_alpha_;
-  std::vector<fixed::raw_t> k_alpha_gamma_;
-  std::vector<std::int64_t> k_half_;
-  std::vector<std::uint64_t> k_shift_;
-  std::vector<fixed::raw_t> k_lo_;
-  std::vector<fixed::raw_t> k_hi_;
-
-  // Kernel operand scratch, indexed by packed live-lane slot. SoA so the
-  // kernel streams contiguous arrays; every other per-iteration field
-  // lives in the lane's Hot record.
-  struct Scratch {
-    std::vector<fixed::raw_t> r;
-    std::vector<fixed::raw_t> q_old;
-    std::vector<fixed::raw_t> q_next;
-    std::vector<fixed::raw_t> new_q;
-    std::vector<std::uint8_t> sat_bits;
-    // Packed per-slot kernel parameters (rebuilt when the live set
-    // changes).
-    std::vector<fixed::raw_t> p_alpha;
-    std::vector<fixed::raw_t> p_one_minus_alpha;
-    std::vector<fixed::raw_t> p_alpha_gamma;
-    std::vector<std::int64_t> p_half;
-    std::vector<std::uint64_t> p_shift;
-    std::vector<fixed::raw_t> p_lo;
-    std::vector<fixed::raw_t> p_hi;
-    void resize(std::size_t n);
-  };
-  Scratch sc_;
   std::vector<Hot> hot_;  // rebuilt at run_group entry
-  bool params_dirty_ = true;
 };
 
 }  // namespace qta::qtaccel

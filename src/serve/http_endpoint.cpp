@@ -50,11 +50,11 @@ std::optional<std::string> shared_http_answer(
   if (!request.has_value()) {
     return http_response("400 Bad Request", "bad request\n", "text/plain");
   }
+  const bool body = !request->head;
   if (request->method != "GET" && !request->head) {
     return http_response("405 Method Not Allowed", "only GET here\n",
-                         "text/plain");
+                         "text/plain", body);
   }
-  const bool body = !request->head;
   if (request->target == "/healthz") {
     return http_response("200 OK", "ok\n", "text/plain", body);
   }
@@ -65,7 +65,7 @@ std::optional<std::string> shared_http_answer(
   if (request->target == "/flightrecorder") {
     if (flight == nullptr) {
       return http_response("404 Not Found", "flight recorder disabled\n",
-                           "text/plain");
+                           "text/plain", body);
     }
     return http_response("200 OK", flight->json_text(), "application/json",
                          body);
@@ -76,10 +76,12 @@ std::optional<std::string> shared_http_answer(
 std::string handle_http(Server& server, const std::string& request_text) {
   // Scrapers may append query strings (?format=...); the routes ignore
   // them.
-  std::optional<std::string> answer = shared_http_answer(
-      parse_http_request(request_text), server.metrics(), server.flight());
+  const std::optional<HttpRequest> request = parse_http_request(request_text);
+  std::optional<std::string> answer =
+      shared_http_answer(request, server.metrics(), server.flight());
   if (answer.has_value()) return *answer;
-  return http_response("404 Not Found", "no such route\n", "text/plain");
+  return http_response("404 Not Found", "no such route\n", "text/plain",
+                       !request->head);
 }
 
 }  // namespace qta::serve

@@ -62,7 +62,7 @@ std::string handle_router_http(Router& router,
     const auto shard = query_id<ShardId>(request->query, "shard");
     if (!session.has_value() || !shard.has_value()) {
       return http_response("400 Bad Request", "need ?session=S&shard=T\n",
-                           "text/plain");
+                           "text/plain", body);
     }
     return http_response("200 OK", ok_json(router.migrate(*session, *shard)),
                          "application/json", body);
@@ -71,7 +71,7 @@ std::string handle_router_http(Router& router,
     const auto shard = query_id<ShardId>(request->query, "shard");
     if (!shard.has_value()) {
       return http_response("400 Bad Request", "need ?shard=S\n",
-                           "text/plain");
+                           "text/plain", body);
     }
     return http_response("200 OK", ok_json(router.drain(*shard)),
                          "application/json", body);
@@ -80,7 +80,8 @@ std::string handle_router_http(Router& router,
     router.checkpoint_all();
     return http_response("200 OK", ok_json(true), "application/json", body);
   }
-  return http_response("404 Not Found", "no such route\n", "text/plain");
+  return http_response("404 Not Found", "no such route\n", "text/plain",
+                       body);
 }
 
 }  // namespace qta::shard

@@ -5,7 +5,8 @@
 // builds it, whose runs take the solo schedule (tests/fast_engine_test.cpp
 // checks that one against Pipeline and GoldenModel). Covered: every
 // (algorithm, qmax mode, hazard mode) shape, obstacle grids, the
-// slippery grid's LFSR transition noise, the hazard-dense ring and
+// slippery grid's LFSR transition noise, a grid whose updates saturate
+// the adder tree (its saturation counts too), the hazard-dense ring and
 // self-loop MDPs, a record-baked RandomMdp against Pipeline, mixed-shape
 // lane groups, mid-run save/load, and the take_state/put_state donation
 // protocol the runtime's lane coalescer uses. The runtime-level
@@ -13,6 +14,7 @@
 // the environment-image cache are covered at the bottom.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <latch>
@@ -117,9 +119,10 @@ PipelineConfig as_fast(PipelineConfig cfg) {
 // The lane under test is lane 0 of a two-lane group whose other lane
 // (the next seed) always has the larger target, so lane 0 runs on the
 // group schedule from entry until it finishes. Both lanes must match
-// their solo engines.
+// their solo engines, whose final states land in `solo_states` if set.
 void check_group_vs_solo(const env::Environment& env, PipelineConfig cfg,
-                         const std::string& tag) {
+                         const std::string& tag,
+                         std::vector<MachineState>* solo_states = nullptr) {
   std::vector<LaneEngine::LaneSpec> specs(2);
   for (std::size_t i = 0; i < 2; ++i) {
     specs[i].env = &env;
@@ -157,6 +160,7 @@ void check_group_vs_solo(const env::Environment& env, PipelineConfig cfg,
     }
     EXPECT_TRUE(stats_eq(solo.stats(0), group.stats(i))) << lane_tag;
     expect_state_eq(solo.save_state(0), group.save_state(i), lane_tag);
+    if (solo_states != nullptr) solo_states->push_back(solo.save_state(0));
   }
 }
 
@@ -171,6 +175,15 @@ TEST(LaneEngineDifferential, MatchesFastEngineForEveryConfigShape) {
   slip_cfg.num_actions = 4;
   slip_cfg.slip_probability = 0.3;
   env::GridWorld slip(slip_cfg);
+  // Saturating input (Pipeline.SaturationCountersExposeOverflowPressure):
+  // Q* heads for step_reward / (1 - gamma), far past the format maximum,
+  // so the adder tree clamps, and both schedules must count it alike.
+  env::GridWorldConfig sat_cfg;
+  sat_cfg.width = 4;
+  sat_cfg.height = 4;
+  sat_cfg.num_actions = 4;
+  sat_cfg.step_reward = 100.0;
+  env::GridWorld sat(sat_cfg);
   for (const ConfigShape& shape : kShapes) {
     PipelineConfig cfg;
     cfg.algorithm = shape.algo;
@@ -185,6 +198,27 @@ TEST(LaneEngineDifferential, MatchesFastEngineForEveryConfigShape) {
     cfg2.alpha = 0.5;
     check_group_vs_solo(med, cfg2, std::string(shape.name) + "_med");
     check_group_vs_solo(slip, cfg, std::string(shape.name) + "_slip");
+
+    PipelineConfig sat_run = cfg;
+    sat_run.alpha = 0.5;
+    sat_run.gamma = 0.99;
+    const std::string sat_tag = std::string(shape.name) + "_sat";
+    std::vector<MachineState> sat_solos;
+    check_group_vs_solo(sat, sat_run, sat_tag, &sat_solos);
+    ASSERT_EQ(sat_solos.size(), 2u) << sat_tag;
+    for (const MachineState& ms : sat_solos) {
+      EXPECT_GT(ms.stats.adder_saturations, 0u) << sat_tag;
+      // Coefficients lie in [0, 1], so no DSP product can leave q_fmt.
+      EXPECT_EQ(ms.dsp_saturations,
+                (std::array<std::uint64_t, 3>{0, 0, 0}))
+          << sat_tag;
+    }
+    Pipeline pipe(sat, sat_run);
+    pipe.run_samples(5000);
+    pipe.run_iterations(777);
+    pipe.run_samples(pipe.stats().samples + 3000);
+    EXPECT_GT(pipe.stats().adder_saturations, 0u) << sat_tag;
+    EXPECT_EQ(pipe.dsp_saturations(), 0u) << sat_tag;
   }
 }
 

@@ -26,6 +26,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "env/grid_world.h"
@@ -974,11 +975,19 @@ TEST(ShardHttpPlane, RoutesAgainstALiveRouter) {
   cluster.settle();
   EXPECT_FALSE(router.ring().contains(home));
 
-  // HEAD gets headers only; bad methods and routes get 405/404.
-  const std::string head =
-      handle_router_http(router, "HEAD /healthz HTTP/1.0\r\n\r\n");
-  EXPECT_NE(head.find("200 OK"), std::string::npos);
-  EXPECT_EQ(head.find("ok\n"), std::string::npos);
+  // HEAD gets headers only, on the error routes too; bad methods and
+  // routes get 405/404.
+  for (const auto& [target, status] :
+       {std::pair<const char*, const char*>{"/healthz", "200 OK"},
+        {"/nope", "404 Not Found"},
+        {"/drain?shard=abc", "400 Bad Request"},
+        {"/migrate", "400 Bad Request"}}) {
+    const std::string head = handle_router_http(
+        router, std::string("HEAD ") + target + " HTTP/1.0\r\n\r\n");
+    EXPECT_EQ(head.rfind(std::string("HTTP/1.0 ") + status + "\r\n", 0), 0u)
+        << target;
+    EXPECT_EQ(head.find("\r\n\r\n") + 4, head.size()) << target;
+  }
   EXPECT_NE(handle_router_http(router, "POST /drain HTTP/1.0\r\n\r\n")
                 .find("405"),
             std::string::npos);
